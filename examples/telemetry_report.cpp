@@ -232,6 +232,9 @@ int main() {
   telemetry::collect_rkom(metrics, rk_server);
   telemetry::collect_fault(metrics, injector, "lan");
   telemetry::collect_sim(metrics, lan.sim);  // event-engine counters (§10)
+  for (auto& n : lan.nodes) {
+    telemetry::collect_cpu(metrics, *n->cpu, "host" + std::to_string(n->id));
+  }
   ledger.collect(metrics);
 
   print_header("metric registry");

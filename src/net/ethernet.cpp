@@ -112,11 +112,14 @@ void EthernetNetwork::transmit(HostId from) {
   medium_busy_ = true;
   const Time tx = transmission_time(p->size() + 24 /* preamble+header+FCS */,
                                     traits_.bits_per_second);
-  sim_.after(tx, [this, pkt = std::move(*p)]() mutable {
-    sim_.after(traits_.propagation_delay,
-               [this, pkt = std::move(pkt)]() mutable { deliver(std::move(pkt)); });
-    arbitrate();
-  });
+  on_wire_ = std::move(*p);
+  sim_.after(tx, [this] { transmitted(); });
+}
+
+void EthernetNetwork::transmitted() {
+  propagating_.push(std::move(on_wire_));
+  sim_.after(traits_.propagation_delay, [this] { deliver(propagating_.pop()); });
+  arbitrate();
 }
 
 void EthernetNetwork::deliver(Packet p) {

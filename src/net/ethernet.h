@@ -15,6 +15,7 @@
 
 #include "net/network.h"
 #include "net/queue.h"
+#include "util/fifo.h"
 #include "util/rng.h"
 
 namespace dash::net {
@@ -45,6 +46,7 @@ class EthernetNetwork final : public Network {
 
   void arbitrate();
   void transmit(HostId from);
+  void transmitted();
   void deliver(Packet p);      ///< fault-hook entry point
   void deliver_now(Packet p);  ///< post-hook delivery (BER, taps, dispatch)
 
@@ -52,6 +54,11 @@ class EthernetNetwork final : public Network {
   Rng rng_;
   std::map<HostId, std::unique_ptr<Interface>> interfaces_;
   bool medium_busy_ = false;
+  // The medium holds its frames through both waits, so its engine events
+  // carry only `this`: the frame being serialized, then the propagating
+  // ones in the order they left (the delay is the same for all).
+  Packet on_wire_;
+  Fifo<Packet> propagating_;
 };
 
 /// Canonical traits for a 10 Mb/s laboratory Ethernet segment.

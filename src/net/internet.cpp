@@ -119,43 +119,45 @@ void InternetNetwork::forward(RouterId at, Packet p) {
     return;
   }
   run_taps(p);  // a wiretap on the gateway sees forwarded traffic
-  const bool local = routers_[at]->access_down.count(p.dst) != 0;
+  Router& router = *routers_[at];
+  const bool local = router.access_down.count(p.dst) != 0;
   // Charge gateway processing before the packet joins an output queue.
-  sim_.after(routers_[at]->processing_delay,
-             [this, at, local, p = std::move(p)]() mutable {
-               Router& router = *routers_[at];
-               if (local) {
-                 auto out = router.access_down.find(p.dst);
-                 if (out == router.access_down.end() ||
-                     !out->second->send(std::move(p))) {
-                   ++stats_.dropped;
-                   ++drops_.access;
-                 }
-                 return;
-               }
-               auto hit = hosts_.find(p.dst);
-               if (hit == hosts_.end()) {
-                 ++stats_.dropped;
-                 ++drops_.no_route;
-                 return;
-               }
-               const RouterId target = hit->second.router;
-               const RouterId nh = engine_.pick(
-                   at, target,
-                   RoutingEngine::flow_key(p.src, p.dst, p.stream));
-               if (nh == RoutingEngine::kNoRoute) {
-                 ++stats_.dropped;  // partitioned
-                 ++drops_.no_route;
-                 return;
-               }
-               const HostId src = p.src;
-               const std::uint64_t stream = p.stream;
-               if (!router.trunks.at(nh)->send(std::move(p))) {
-                 ++stats_.dropped;
-                 ++drops_.trunk_full;
-                 if (source_quench_) send_quench(src, stream);
-               }
-             });
+  router.processing.push(Processing{local, std::move(p)});
+  sim_.after(router.processing_delay, [this, at] { route(at); });
+}
+
+void InternetNetwork::route(RouterId at) {
+  Router& router = *routers_[at];
+  auto [local, p] = router.processing.pop();
+  if (local) {
+    auto out = router.access_down.find(p.dst);
+    if (out == router.access_down.end() || !out->second->send(std::move(p))) {
+      ++stats_.dropped;
+      ++drops_.access;
+    }
+    return;
+  }
+  auto hit = hosts_.find(p.dst);
+  if (hit == hosts_.end()) {
+    ++stats_.dropped;
+    ++drops_.no_route;
+    return;
+  }
+  const RouterId target = hit->second.router;
+  const RouterId nh =
+      engine_.pick(at, target, RoutingEngine::flow_key(p.src, p.dst, p.stream));
+  if (nh == RoutingEngine::kNoRoute) {
+    ++stats_.dropped;  // partitioned
+    ++drops_.no_route;
+    return;
+  }
+  const HostId src = p.src;
+  const std::uint64_t stream = p.stream;
+  if (!router.trunks.at(nh)->send(std::move(p))) {
+    ++stats_.dropped;
+    ++drops_.trunk_full;
+    if (source_quench_) send_quench(src, stream);
+  }
 }
 
 void InternetNetwork::send_quench(HostId to, std::uint64_t dropped_stream) {

@@ -20,6 +20,7 @@
 #include "net/link.h"
 #include "net/network.h"
 #include "net/routing.h"
+#include "util/fifo.h"
 #include "util/rng.h"
 
 namespace dash::net {
@@ -98,8 +99,17 @@ class InternetNetwork final : public Network {
   std::size_t route_hops(HostId src, HostId dst) const;
 
  private:
+  /// A packet charging gateway processing time before it is routed.
+  struct Processing {
+    bool local = false;  ///< destination hangs off this router
+    Packet packet;
+  };
+
   struct Router {
     Time processing_delay;
+    // Packets in processing, in arrival order: the delay is the same for
+    // each, so every completion event takes the head.
+    Fifo<Processing> processing;
     // Hash maps: these sit on the per-packet forwarding path, and nothing
     // iterates them in an order-sensitive way (route computation lives in
     // the RoutingEngine over its own sorted flat adjacency).
@@ -119,6 +129,7 @@ class InternetNetwork final : public Network {
   };
 
   void forward(RouterId at, Packet p);
+  void route(RouterId at);  ///< end of processing: the FIFO head moves on
   void deliver(Packet p);      ///< fault-hook entry point (host delivery)
   void deliver_now(Packet p);  ///< post-hook delivery to the host sink
   /// The trunk links a (src, dst, stream) flow traverses — the same

@@ -15,45 +15,49 @@ bool SimplexLink::send(Packet p) {
     ++stats_.dropped_overflow;
     return false;
   }
-  const std::size_t size = p.size();
   if (!queue_.push(std::move(p))) {
     // admit() already checked capacity; TxQueue is configured unbounded to
     // keep one source of truth, so this cannot happen.
     ++stats_.dropped_overflow;
     return false;
   }
-  // Track occupancy for the stream-share accounting undone in note_popped.
-  (void)size;
   ++stats_.sent;
   if (!busy_) try_transmit();
   return true;
 }
 
 bool SimplexLink::admit(const Packet& p) {
-  if (config_.buffer_bytes == 0) {
-    stream_queued_[p.stream] += p.size();
-    return true;  // unbounded
-  }
   const std::uint64_t size = p.size();
-  auto res = reservation_.find(p.stream);
-  std::uint64_t& queued = stream_queued_[p.stream];
-  if (res != reservation_.end() && queued + size <= res->second) {
-    // Within the stream's reserved share: always admitted.
-    queued += size;
-    return true;
+  auto it = queued_slot(p.stream);
+  const bool known = it != stream_queued_.end() && it->first == p.stream;
+  const std::uint64_t queued = known ? it->second : 0;
+  if (config_.buffer_bytes != 0) {  // 0 = unbounded
+    auto res = reservation_.find(p.stream);
+    // Within the stream's reserved share a packet is always admitted;
+    // beyond it, it is charged to the shared pool (buffer minus all
+    // reservations).
+    if (res == reservation_.end() || queued + size > res->second) {
+      const std::uint64_t shared_pool = config_.buffer_bytes > reserved_total_
+                                            ? config_.buffer_bytes - reserved_total_
+                                            : 0;
+      if (shared_queued_ + size > shared_pool) return false;
+      shared_queued_ += size;
+    }
   }
-  // Charge the shared pool (buffer minus all reservations).
-  const std::uint64_t shared_pool =
-      config_.buffer_bytes > reserved_total_ ? config_.buffer_bytes - reserved_total_ : 0;
-  if (shared_queued_ + size > shared_pool) return false;
-  shared_queued_ += size;
-  queued += size;
+  if (!known) it = stream_queued_.insert(it, {p.stream, 0});
+  it->second += size;
   return true;
 }
 
+SimplexLink::QueuedBytes::iterator SimplexLink::queued_slot(std::uint64_t stream) {
+  return std::lower_bound(
+      stream_queued_.begin(), stream_queued_.end(), stream,
+      [](const auto& entry, std::uint64_t s) { return entry.first < s; });
+}
+
 void SimplexLink::note_popped(const Packet& p) {
-  auto it = stream_queued_.find(p.stream);
-  if (it == stream_queued_.end()) return;
+  auto it = queued_slot(p.stream);
+  if (it == stream_queued_.end() || it->first != p.stream) return;
   const std::uint64_t size = p.size();
   auto res = reservation_.find(p.stream);
   const std::uint64_t reserved = res == reservation_.end() ? 0 : res->second;
@@ -108,13 +112,17 @@ void SimplexLink::try_transmit() {
   const Time tx = transmission_time(p->size() + config_.framing_bytes,
                                     config_.bits_per_second);
   stats_.busy_time += tx;
-  sim_.after(tx, [this, pkt = std::move(*p)]() mutable {
-    // The wire is free as soon as the last bit leaves; delivery happens
-    // after propagation, possibly overlapping the next transmission.
-    sim_.after(config_.propagation_delay,
-               [this, pkt = std::move(pkt)]() mutable { deliver(std::move(pkt)); });
-    try_transmit();
-  });
+  on_wire_ = std::move(*p);
+  sim_.after(tx, [this] { transmitted(); });
+}
+
+void SimplexLink::transmitted() {
+  // The wire is free as soon as the last bit leaves; delivery happens after
+  // propagation, possibly overlapping the next transmission. The delay is
+  // the same for every packet, so each delivery event takes the FIFO head.
+  propagating_.push(std::move(on_wire_));
+  sim_.after(config_.propagation_delay, [this] { deliver(propagating_.pop()); });
+  try_transmit();
 }
 
 void SimplexLink::deliver(Packet p) {

@@ -2,6 +2,9 @@
 //
 // A link drains its transmit queue one packet at a time at the configured
 // bit rate, delivers after the propagation delay, and injects bit errors.
+// The link holds its packets through both waits — the one being serialized
+// in `on_wire_`, propagating ones in a FIFO (the delay is constant, so they
+// arrive in the order they left) — and its engine events carry only `this`.
 // Gateways in the internet-like network reserve per-stream buffer shares
 // here — the mechanism behind the paper's claim that RMS capacity protects
 // gateway buffers where TCP's flow control does not (§4.4, §5).
@@ -10,11 +13,13 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "net/packet.h"
 #include "net/queue.h"
 #include "sim/simulator.h"
+#include "util/fifo.h"
 #include "util/rng.h"
 
 namespace dash::net {
@@ -81,15 +86,21 @@ class SimplexLink {
 
  private:
   void try_transmit();
+  void transmitted();
   void deliver(Packet p);
   bool admit(const Packet& p);
   void note_popped(const Packet& p);
+  using QueuedBytes = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  /// Where `stream`'s entry in stream_queued_ is or would be inserted.
+  QueuedBytes::iterator queued_slot(std::uint64_t stream);
 
   sim::Simulator& sim_;
   Config config_;
   Rng rng_;
   TxQueue queue_;
   PacketSink sink_;
+  Packet on_wire_;             ///< being serialized while busy_
+  Fifo<Packet> propagating_;   ///< left the wire, not yet delivered
   bool busy_ = false;
   bool down_ = false;
   Stats stats_;
@@ -97,7 +108,10 @@ class SimplexLink {
 
   // Per-stream buffer accounting (reservation and current occupancy).
   std::map<std::uint64_t, std::uint64_t> reservation_;
-  std::map<std::uint64_t, std::uint64_t> stream_queued_;
+  // Queued bytes per stream with any queued, sorted by stream id; a flat
+  // vector so that per-packet admission and drain reuse its capacity
+  // instead of allocating a map node. No entry means zero bytes.
+  QueuedBytes stream_queued_;
   std::uint64_t reserved_total_ = 0;
   std::uint64_t shared_queued_ = 0;  ///< queued bytes charged to the shared pool
 };

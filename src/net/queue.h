@@ -8,9 +8,9 @@
 // disciplines exist as the baselines the paper argues against.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "net/packet.h"
@@ -38,23 +38,24 @@ class TxQueue {
     }
     bytes_ += p.size();
     ++pushed_;
-    heap_.push(Entry{std::move(p), discipline_, next_arrival_++});
+    heap_.push_back(Entry{std::move(p), discipline_, next_arrival_++});
+    std::push_heap(heap_.begin(), heap_.end(), LessUrgent{});
     return true;
   }
 
   /// Removes and returns the most urgent packet per the discipline.
   std::optional<Packet> pop() {
     if (heap_.empty()) return std::nullopt;
-    // The heap stores const refs; copy out before pop.
-    Packet p = heap_.top().packet;
-    heap_.pop();
+    std::pop_heap(heap_.begin(), heap_.end(), LessUrgent{});
+    Packet p = std::move(heap_.back().packet);
+    heap_.pop_back();
     bytes_ -= p.size();
     return p;
   }
 
   /// The deadline of the most urgent packet (kTimeNever when empty).
   Time head_deadline() const {
-    return heap_.empty() ? kTimeNever : heap_.top().packet.deadline;
+    return heap_.empty() ? kTimeNever : heap_.front().packet.deadline;
   }
 
   bool empty() const { return heap_.empty(); }
@@ -93,7 +94,7 @@ class TxQueue {
 
   Discipline discipline_;
   std::uint64_t byte_capacity_;
-  std::priority_queue<Entry, std::vector<Entry>, LessUrgent> heap_;
+  std::vector<Entry> heap_;  // binary heap ordered by LessUrgent
   std::uint64_t bytes_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t dropped_bytes_ = 0;

@@ -131,8 +131,8 @@ void TokenRingNetwork::grant(std::size_t index) {
       break;
     }
     used += frame_tx;
-    sim_.after(used + ring_.ring_propagation,
-               [this, pkt = std::move(*p)]() mutable { deliver(std::move(pkt)); });
+    on_ring_.push(std::move(*p));
+    sim_.after(used + ring_.ring_propagation, [this] { deliver(on_ring_.pop()); });
     if (used >= ring_.token_holding_time) break;
   }
 

@@ -24,6 +24,7 @@
 
 #include "net/network.h"
 #include "net/queue.h"
+#include "util/fifo.h"
 #include "util/rng.h"
 
 namespace dash::net {
@@ -81,6 +82,10 @@ class TokenRingNetwork final : public Network {
   std::size_t token_at_ = 0;
   bool token_moving_ = false;
   std::uint64_t rotations_ = 0;
+  // Frames on the ring, in transmission order. Later frames always land
+  // later (a visit's frames are serial, the next visit starts after this
+  // one ends), so each delivery event takes the head.
+  Fifo<Packet> on_ring_;
 };
 
 /// Canonical traits for a 4 Mb/s token ring. The min_delay floor encoded

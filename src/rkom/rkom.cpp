@@ -212,48 +212,57 @@ void RkomNode::handle_request(HostId client, std::uint64_t call_id, std::uint64_
   if (oit == operations_.end()) return;  // unknown operation: let client retry/timeout
   Operation& operation = oit->second;
 
-  replies_[key].executing = true;
+  CachedReply& entry = replies_[key];
+  entry.executing = true;
   ++stats_.executions;
-
-  auto finish = [this, key, client, call_id, is_retry](Bytes result) {
-    auto rit = replies_.find(key);
-    if (rit == replies_.end()) return;
-    rit->second.executing = false;
-    rit->second.wire = [&] {
-      Bytes wire;
-      Writer w(wire);
-      w.u8(kReply);
-      w.u64(call_id);
-      w.bytes(result);
-      return wire;
-    }();
-
-    Channel& ch = channel(client);
-    rms::Message m;
-    m.data = rit->second.wire;
-    // Initial reply goes low-delay; a reply to a retry is itself a
-    // retransmission and rides the high-delay stream.
-    rms::Rms* stream = is_retry ? ch.high.get() : ch.low.get();
-    if (stream != nullptr) (void)stream->send(std::move(m));
-
-    // Evict the at-most-once state if no ack ever arrives.
-    sim_.cancel(rit->second.expiry_timer);
-    rit->second.expiry_timer =
-        sim_.timer_after(config_.reply_cache_ttl, [this, key] {
-          auto it = replies_.find(key);
-          if (it != replies_.end()) replies_.erase(it);
-        });
-  };
 
   if (operation.service_time > 0) {
     // Charge the service time before replying (the kernel operation runs).
-    sim_.after(operation.service_time,
-               [handler = operation.handler, args = std::move(args), finish]() mutable {
-                 finish(handler(args));
-               });
+    // The reply-cache entry holds the args meanwhile, so the event carries
+    // only ids.
+    entry.args = std::move(args);
+    sim_.after(operation.service_time, [this, &operation, key, is_retry] {
+      auto rit = replies_.find(key);
+      if (rit == replies_.end()) return;
+      const Bytes held = std::move(rit->second.args);
+      finish_request(key, is_retry, operation.handler(held));
+    });
   } else {
-    finish(operation.handler(args));
+    finish_request(key, is_retry, operation.handler(args));
   }
+}
+
+void RkomNode::finish_request(std::pair<HostId, std::uint64_t> key, bool is_retry,
+                              Bytes result) {
+  const HostId client = key.first;
+  const std::uint64_t call_id = key.second;
+  auto rit = replies_.find(key);
+  if (rit == replies_.end()) return;
+  rit->second.executing = false;
+  rit->second.wire = [&] {
+    Bytes wire;
+    Writer w(wire);
+    w.u8(kReply);
+    w.u64(call_id);
+    w.bytes(result);
+    return wire;
+  }();
+
+  Channel& ch = channel(client);
+  rms::Message m;
+  m.data = rit->second.wire;
+  // Initial reply goes low-delay; a reply to a retry is itself a
+  // retransmission and rides the high-delay stream.
+  rms::Rms* stream = is_retry ? ch.high.get() : ch.low.get();
+  if (stream != nullptr) (void)stream->send(std::move(m));
+
+  // Evict the at-most-once state if no ack ever arrives.
+  sim_.cancel(rit->second.expiry_timer);
+  rit->second.expiry_timer =
+      sim_.timer_after(config_.reply_cache_ttl, [this, key] {
+        auto it = replies_.find(key);
+        if (it != replies_.end()) replies_.erase(it);
+      });
 }
 
 void RkomNode::handle_reply(HostId server, std::uint64_t call_id, Bytes result) {

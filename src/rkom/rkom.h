@@ -105,6 +105,7 @@ class RkomNode {
   struct CachedReply {
     Buffer wire;  ///< shared with the reply and its retransmissions
     bool executing = false;
+    Bytes args;  ///< the request's args while its service time runs
     sim::TimerHandle expiry_timer;  ///< cancelled when the client acks
   };
 
@@ -112,6 +113,9 @@ class RkomNode {
   void handle(rms::Message msg);
   void handle_request(HostId client, std::uint64_t call_id, std::uint64_t op,
                       Bytes args, bool is_retry);
+  /// Caches and sends the reply of an executed request.
+  void finish_request(std::pair<HostId, std::uint64_t> key, bool is_retry,
+                      Bytes result);
   void handle_reply(HostId server, std::uint64_t call_id, Bytes result);
   void arm_retry(std::uint64_t call_id);
 

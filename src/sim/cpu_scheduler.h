@@ -30,6 +30,11 @@ const char* cpu_policy_name(CpuPolicy p);
 
 class CpuScheduler {
  public:
+  /// A queued protocol-processing task. Unlike an engine event it carries
+  /// its message or packet while it waits for the CPU, so it is wider than
+  /// sim::Task: sized for the largest such closure (ST's emit stage).
+  using Task = BasicTask<144>;
+
   CpuScheduler(Simulator& sim, CpuPolicy policy)
       : sim_(sim), policy_(policy) {}
 
@@ -40,6 +45,7 @@ class CpuScheduler {
   /// CPU time once the task is dispatched. `deadline` orders EDF; `priority`
   /// orders kPriority (lower value = more urgent).
   void submit(Time deadline, Time duration, Task fn, int priority = 0) {
+    if (fn.heap_allocated()) ++heap_fallbacks_;
     queue_.push_back(
         CpuTask{deadline, priority, next_seq_++, duration, std::move(fn), policy_});
     std::push_heap(queue_.begin(), queue_.end(), LessUrgent{});
@@ -51,6 +57,9 @@ class CpuScheduler {
   Time busy_time() const { return busy_time_; }
   std::uint64_t tasks_completed() const { return completed_; }
   std::uint64_t tasks_submitted() const { return submitted_; }
+  /// Submitted tasks whose closure outgrew Task's inline storage and paid
+  /// a heap cell (0 on the stack's own paths; telemetry exports it).
+  std::uint64_t heap_fallbacks() const { return heap_fallbacks_; }
   std::size_t queue_length() const { return queue_.size(); }
   CpuPolicy policy() const { return policy_; }
 
@@ -111,6 +120,7 @@ class CpuScheduler {
   Time busy_time_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t submitted_ = 0;
+  std::uint64_t heap_fallbacks_ = 0;
 };
 
 }  // namespace dash::sim

@@ -1,13 +1,22 @@
-// Move-only callable with 64-byte inline storage.
+// Move-only callable with N-byte inline storage.
 //
 // The event engine schedules millions of small closures — "this + a couple
-// of ids + a ref-counted Buffer" is the common shape, 24–64 bytes. That is
-// past std::function's 16-byte small-object buffer (every schedule paid a
-// heap allocation) but comfortably inside 64. sim::Task stores such
-// callables inline and, being move-only, never copies them: moving a Task
-// relocates the closure between inline buffers with no allocation.
+// of ids" is the common shape. That is past std::function's 16-byte
+// small-object buffer (every schedule paid a heap allocation) but inside a
+// few dozen bytes. BasicTask<N> stores such callables inline and, being
+// move-only, never copies them: moving a task relocates the closure between
+// inline buffers with no allocation.
 //
-// Layout: a type-erased Ops vtable pointer plus an aligned 64-byte buffer.
+// Two instances are in use (DESIGN.md §10):
+//   * sim::Task = BasicTask<64> — every engine event. Events on the packet
+//     path carry `this` and small ids, never a packet: the component that
+//     owns the wait (a link's wire, a router's processing FIFO, the CPU's
+//     running slot) holds the packet. 64 B keeps Simulator::Entry small.
+//   * CpuScheduler::Task = BasicTask<144> — queued protocol-processing work,
+//     which does carry its rms::Message or net::Packet while it waits for
+//     the CPU (the largest such closure, ST's emit stage, is 136 B).
+//
+// Layout: a type-erased Ops vtable pointer plus an aligned N-byte buffer.
 // Callables that are too big, over-aligned, or throwing-move fall back to a
 // single heap cell (the pointer lives in the buffer); `heap_allocated()`
 // reports which path a task took so telemetry can count inline vs. heap
@@ -23,19 +32,19 @@
 
 namespace dash::sim {
 
-class Task {
+template <std::size_t N>
+class BasicTask {
  public:
-  /// Inline capacity. Sized for the repo's hot closures: `this` + two
-  /// 64-bit ids + a dash::Buffer (40 bytes) fits exactly.
-  static constexpr std::size_t kInlineSize = 64;
+  /// Inline capacity in bytes.
+  static constexpr std::size_t kInlineSize = N;
 
-  Task() = default;
+  BasicTask() = default;
 
   template <typename F,
             typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, Task> &&
+                !std::is_same_v<std::decay_t<F>, BasicTask> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  Task(F&& f) {  // NOLINT(google-explicit-constructor)
+  BasicTask(F&& f) {  // NOLINT(google-explicit-constructor)
     using D = std::decay_t<F>;
     if constexpr (fits_inline<D>()) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
@@ -47,9 +56,9 @@ class Task {
     }
   }
 
-  Task(Task&& other) noexcept { move_from(other); }
+  BasicTask(BasicTask&& other) noexcept { move_from(other); }
 
-  Task& operator=(Task&& other) noexcept {
+  BasicTask& operator=(BasicTask&& other) noexcept {
     if (this != &other) {
       reset();
       move_from(other);
@@ -57,10 +66,10 @@ class Task {
     return *this;
   }
 
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
+  BasicTask(const BasicTask&) = delete;
+  BasicTask& operator=(const BasicTask&) = delete;
 
-  ~Task() { reset(); }
+  ~BasicTask() { reset(); }
 
   explicit operator bool() const { return ops_ != nullptr; }
 
@@ -116,7 +125,7 @@ class Task {
       /*heap=*/true,
   };
 
-  void move_from(Task& other) noexcept {
+  void move_from(BasicTask& other) noexcept {
     ops_ = other.ops_;
     if (ops_ != nullptr) {
       ops_->relocate(storage_, other.storage_);
@@ -134,5 +143,9 @@ class Task {
   const Ops* ops_ = nullptr;
   alignas(std::max_align_t) unsigned char storage_[kInlineSize];
 };
+
+/// The engine's event closure. `this` + two 64-bit ids + a dash::Buffer
+/// (40 bytes) fits exactly; a net::Packet or rms::Message does not.
+using Task = BasicTask<64>;
 
 }  // namespace dash::sim

@@ -1124,9 +1124,11 @@ void SubtransportLayer::emit_component(StRms& rms, rms::Message msg,
           component_bytes(0, flags);
       const auto count = static_cast<std::uint16_t>(
           (msg.size() + frag_payload - 1) / frag_payload);
-      trace("st.frag", "stream " + std::to_string(stream_id) + " seq " +
-                           std::to_string(seq) + ": " + std::to_string(msg.size()) +
-                           " B -> " + std::to_string(count) + " fragments");
+      if (trace_ != nullptr) {
+        trace("st.frag", "stream " + std::to_string(stream_id) + " seq " +
+                             std::to_string(seq) + ": " + std::to_string(msg.size()) +
+                             " B -> " + std::to_string(count) + " fragments");
+      }
       // Anything of this stream already queued must leave first.
       flush_channel(channel);
 
@@ -1305,10 +1307,12 @@ void SubtransportLayer::flush_channel(Channel& ch) {
   const Time passed = clamp_packet_deadline(ch.queue_min_deadline, ch.queue_streams);
   stats_.piggybacked += ch.queue_count - 1;
   ++stats_.network_messages;
-  trace("st.flush", "channel " + std::to_string(ch.id) + ": " +
-                        std::to_string(ch.queue_count) + " component(s), " +
-                        std::to_string(payload.size()) + " B, deadline " +
-                        format_time(passed));
+  if (trace_ != nullptr) {
+    trace("st.flush", "channel " + std::to_string(ch.id) + ": " +
+                          std::to_string(ch.queue_count) + " component(s), " +
+                          std::to_string(payload.size()) + " B, deadline " +
+                          format_time(passed));
+  }
 
   ch.queue_count = 0;
   ch.queue_streams.clear();
@@ -1622,9 +1626,11 @@ void SubtransportLayer::handle_data(rms::Message msg) {
       w.u64(*st_id);
       w.u64(id_to_ack);
       ++stats_.fast_acks_sent;
-      trace("st.fastack", "ack " + std::to_string(id_to_ack) + " for stream " +
-                              std::to_string(*st_id) + " -> host " +
-                              std::to_string(src));
+      if (trace_ != nullptr) {
+        trace("st.fastack", "ack " + std::to_string(id_to_ack) + " for stream " +
+                                std::to_string(*st_id) + " -> host " +
+                                std::to_string(src));
+      }
       if (entry_ref.ack_fabric != nullptr) {
         send_control_on(ps, *entry_ref.ack_fabric, std::move(ack));
       } else {
@@ -1678,9 +1684,11 @@ void SubtransportLayer::handle_data(rms::Message msg) {
       entry.partial_fragments.clear();
       entry.next_expected_seq = *seq + 1;
       ++stats_.reassembled;
-      trace("st.reassemble", "stream " + std::to_string(*st_id) + " seq " +
-                                 std::to_string(*seq) + " complete (" +
-                                 std::to_string(whole.size()) + " B)");
+      if (trace_ != nullptr) {
+        trace("st.reassemble", "stream " + std::to_string(*st_id) + " seq " +
+                                   std::to_string(*seq) + " complete (" +
+                                   std::to_string(whole.size()) + " B)");
+      }
       if (entry.partial_ack_requested) {
         entry.partial_ack_requested = false;
         send_fast_ack(entry, entry.partial_ack_id);

@@ -575,6 +575,9 @@ class SubtransportLayer : public rms::Provider {
   /// rebind (rebind detaches without sending kDelete: the stream lives on).
   void detach_channel(StRms& rms);
   void release_channel(Channel& ch);
+  // Per-packet call sites (flush, fast ack, fragment, reassemble) check
+  // trace_ themselves so the detail string is never built when tracing is
+  // off.
   void trace(const char* category, std::string detail) {
     if (trace_ != nullptr) trace_->record(sim_.now(), category, std::move(detail));
   }

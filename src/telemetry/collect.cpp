@@ -282,6 +282,15 @@ void collect_sim(MetricsRegistry& m, const sim::Simulator& sim,
   m.gauge(p + "pending").set(static_cast<double>(sim.pending()));
 }
 
+void collect_cpu(MetricsRegistry& m, const sim::CpuScheduler& cpu,
+                 const std::string& prefix) {
+  const std::string p = "sim." + prefix + ".";
+  m.counter(p + "cpu_tasks").set(cpu.tasks_submitted());
+  m.counter(p + "cpu_tasks_completed").set(cpu.tasks_completed());
+  m.counter(p + "cpu_tasks_heap").set(cpu.heap_fallbacks());
+  m.counter(p + "cpu_busy_ns").set(static_cast<std::uint64_t>(cpu.busy_time()));
+}
+
 void collect_sharded(MetricsRegistry& m, const sim::ShardedSimulator& ssim) {
   const sim::ShardedStats& s = ssim.stats();
   m.counter("sim.shard.shards").set(ssim.shards());

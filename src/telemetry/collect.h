@@ -14,6 +14,7 @@
 
 #include "fault/fault.h"
 #include "net/ethernet.h"
+#include "sim/cpu_scheduler.h"
 #include "sim/parallel.h"
 #include "sim/simulator.h"
 #include "net/internet.h"
@@ -113,6 +114,12 @@ void collect_driver(MetricsRegistry& m, const rt::Driver& d,
 /// events, live/peak pending set (DESIGN.md §10).
 void collect_sim(MetricsRegistry& m, const sim::Simulator& sim,
                  const std::string& prefix = "engine");
+
+/// One host CPU's counters beside the engine's, under "sim.<prefix>.*":
+/// cpu_tasks submitted/completed, cpu_tasks_heap (work items whose closure
+/// outgrew CpuScheduler::Task's inline storage) and cpu_busy_ns.
+void collect_cpu(MetricsRegistry& m, const sim::CpuScheduler& cpu,
+                 const std::string& prefix);
 
 /// Sharded-core counters under "sim.shard.*" (DESIGN.md §14): shard count,
 /// lookahead horizon, windows/drains/exchanged/late, each shard's engine

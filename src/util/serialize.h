@@ -17,7 +17,12 @@ namespace dash {
 /// Appends fixed-width little-endian fields to a byte buffer.
 class Writer {
  public:
-  explicit Writer(Bytes& out) : out_(out) {}
+  /// Pre-sizes an empty output once, so a small wire encoding (an ack, a
+  /// control message, a header) costs one allocation instead of growing
+  /// byte by byte through log2(size) reallocations.
+  explicit Writer(Bytes& out) : out_(out) {
+    if (out_.capacity() == 0) out_.reserve(kInitialCapacity);
+  }
 
   void u8(std::uint8_t v) { out_.push_back(static_cast<std::byte>(v)); }
   void u16(std::uint16_t v) { put(v, 2); }
@@ -36,6 +41,8 @@ class Writer {
   std::size_t written() const { return out_.size(); }
 
  private:
+  static constexpr std::size_t kInitialCapacity = 32;
+
   void put(std::uint64_t v, int width) {
     for (int i = 0; i < width; ++i) {
       out_.push_back(static_cast<std::byte>(v >> (8 * i)));

@@ -1,20 +1,27 @@
 // Tests for the zero-copy datapath (DESIGN.md §9): payload-aliasing safety
 // across the Buffer-based send/receive paths, storage sharing between
 // network packets and delivered messages, fragment-slice lifetime across
-// reassembly discards, and the counting-allocator bound that pins down the
-// "serialize once into an arena" property of the ST send path.
+// reassembly discards, the counting-allocator bound that pins down the
+// "serialize once into an arena" property of the ST send path, and the
+// steady-state check that no engine event or CPU work item falls back to a
+// heap-allocated closure (DESIGN.md §10).
 //
 // This binary links dash_alloc_count first, so the global operator
 // new/delete are the counting versions.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "fault/fault.h"
+#include "rkom/rkom.h"
 #include "st/st.h"
 #include "test_helpers.h"
 #include "util/alloc_count.h"
+#include "transport/stream.h"
 #include "util/buffer.h"
 
 namespace dash::st {
@@ -248,8 +255,8 @@ TEST(Datapath, EndToEndAllocationStaysNearTwoCopies) {
   ASSERT_TRUE(delivered.has_value());
   EXPECT_TRUE(delivered->data == payload);
   // copy 0 (handoff) + copy 1 (arena gather) + copy 2 (reassembly concat)
-  // ≈ 3N, plus ~1.6 KiB of event/container bookkeeping per fragment
-  // (currently ~54 KB total, deterministic). The bound sits below 3N + 2·N/3
+  // ≈ 3N, plus ~0.6 KiB of event/container bookkeeping per fragment
+  // (currently ~43 KB total, deterministic). The bound sits below 3N + 2·N/3
   // so an extra payload-sized copy (+N ≈ 12 KB) regressing into the path
   // trips it.
   EXPECT_LT(bytes, 3 * kN + 24 * 1024)
@@ -283,10 +290,134 @@ TEST(Datapath, PiggybackSendAllocationIsFlat) {
     world.sim.run();
   }
   ASSERT_EQ(port.delivered(), 8u + 16u);
-  // Steady state averages a few dozen small allocations per message; a
+  // Steady state averages about ten small allocations per message; a
   // copy-heavy path would show several payload+arena-sized blocks each.
   EXPECT_LT(scope.allocations() / 16, 40u)
       << scope.allocations() << " allocations for 16 messages";
+}
+
+// ------------------------------------------ task storage at steady state
+
+// Events on the packet path carry `this` and ids while the media, routers
+// and CPU hold the packets, and every protocol-processing closure fits
+// CpuScheduler::Task inline. Once a full stack is running it schedules no
+// heap-backed task at all: not on the WAN (gateway FIFOs, transport acks,
+// RKOM service time) ...
+TEST(TaskStorage, DumbbellBulkAndRkomScheduleNoHeapTasks) {
+  dash::testing::DumbbellWorld wan({1, 3}, {2, 4});
+  std::map<rms::HostId, std::unique_ptr<SubtransportLayer>> sts;
+  for (auto& [id, host] : wan.hosts) {
+    sts[id] = std::make_unique<SubtransportLayer>(wan.sim, id, host->cpu, host->ports);
+    sts[id]->add_network(*wan.fabric);
+  }
+
+  // Saturating reliable bulk 1 -> 4.
+  transport::StreamConfig cfg;
+  transport::StreamReceiver rx(*sts[4], wan.host(4).ports, 60, cfg);
+  std::size_t bulk_bytes = 0;
+  rx.on_data([&](Bytes b) { bulk_bytes += b.size(); });
+  transport::StreamSender tx(*sts[1], wan.host(1).ports, {4, 60}, cfg,
+                             transport::bulk_data_request(16 * 1024, 500));
+  ASSERT_TRUE(tx.ok());
+  std::function<void()> feed = [&] {
+    while (tx.write(patterned_bytes(2000, bulk_bytes)).ok()) {
+    }
+  };
+  tx.on_writable(feed);
+  feed();
+
+  // Closed-loop RKOM 3 -> 2 whose operation charges service time.
+  rkom::RkomNode client(*sts[3], wan.host(3).ports);
+  rkom::RkomNode server(*sts[2], wan.host(2).ports);
+  server.register_operation(
+      1, {[](BytesView in) { return Bytes(in.begin(), in.end()); }, usec(200)});
+  int calls = 0;
+  std::function<void()> call = [&] {
+    client.call(2, 1, patterned_bytes(128, 4), [&](Result<Bytes> r) {
+      if (r.ok()) ++calls;
+      wan.sim.after(msec(25), call);
+    });
+  };
+  call();
+
+  wan.sim.run_until(sec(2));  // establishment and warm-up
+  const sim::EngineStats before = wan.sim.stats();
+  const std::size_t bytes_before = bulk_bytes;
+  const int calls_before = calls;
+  wan.sim.run_until(sec(10));
+
+  EXPECT_GT(bulk_bytes - bytes_before, 500'000u);
+  EXPECT_GT(calls - calls_before, 50);
+  EXPECT_GT(wan.sim.stats().scheduled - before.scheduled, 10'000u);
+  EXPECT_EQ(wan.sim.stats().scheduled_heap, before.scheduled_heap);
+  for (auto& [id, host] : wan.hosts) {
+    EXPECT_GT(host->cpu.tasks_submitted(), 0u) << "host " << id;
+    EXPECT_EQ(host->cpu.heap_fallbacks(), 0u) << "host " << id;
+  }
+}
+
+// ... nor on a shared Ethernet (medium FIFO, ST piggyback, fragmentation
+// and reassembly).
+TEST(TaskStorage, EthernetMuxSchedulesNoHeapTasks) {
+  constexpr int kHosts = 4;
+  constexpr int kSmallPerHost = 4;
+  StWorld world(kHosts);
+  std::vector<std::unique_ptr<rms::Port>> ports;
+  std::vector<std::unique_ptr<rms::Rms>> small, large;
+  std::uint64_t delivered = 0;
+  for (rms::HostId from = 1; from <= kHosts; ++from) {
+    const rms::HostId to = from % kHosts + 1;
+    for (int k = 0; k <= kSmallPerHost; ++k) {
+      const bool is_large = k == kSmallPerHost;
+      const rms::PortId port_id = 100 + static_cast<rms::PortId>(k);
+      ports.push_back(std::make_unique<rms::Port>());
+      ports.back()->set_handler([&delivered](rms::Message) { ++delivered; });
+      world.host(to).ports.bind(port_id, ports.back().get());
+      auto created = world.st(from).create(
+          is_large ? datapath_request(64 * 1024, 16 * 1024) : datapath_request(8 * 1024, 256),
+          {to, port_id});
+      ASSERT_TRUE(created.ok()) << created.error().message;
+      (is_large ? large : small).push_back(std::move(created).value());
+    }
+  }
+
+  // Every 2 ms each small stream sends 32-256 B; every 100 ms each large
+  // stream sends 12 KB, which fragments on the 1500 B medium.
+  int tick = 0;
+  std::function<void()> send = [&] {
+    for (std::size_t i = 0; i < small.size(); ++i) {
+      rms::Message m;
+      m.data = patterned_bytes(32 + (tick * 37 + i * 53) % 225, tick);
+      (void)small[i]->send(std::move(m));
+    }
+    if (tick % 50 == 0) {
+      for (auto& rms : large) {
+        rms::Message m;
+        m.data = patterned_bytes(12 * 1024, tick);
+        (void)rms->send(std::move(m));
+      }
+    }
+    ++tick;
+    world.sim.after(msec(2), send);
+  };
+  send();
+
+  world.sim.run_until(sec(1));  // establishment and warm-up
+  const sim::EngineStats before = world.sim.stats();
+  const std::uint64_t delivered_before = delivered;
+  world.sim.run_until(sec(4));
+
+  EXPECT_GT(delivered - delivered_before, 15'000u);
+  EXPECT_GT(world.sim.stats().scheduled - before.scheduled, 50'000u);
+  EXPECT_EQ(world.sim.stats().scheduled_heap, before.scheduled_heap);
+  std::uint64_t piggybacked = 0, reassembled = 0;
+  for (rms::HostId h = 1; h <= kHosts; ++h) {
+    piggybacked += world.st(h).stats().piggybacked;
+    reassembled += world.st(h).stats().reassembled;
+    EXPECT_EQ(world.host(h).cpu.heap_fallbacks(), 0u) << "host " << h;
+  }
+  EXPECT_GT(piggybacked, 0u);
+  EXPECT_GT(reassembled, 0u);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // internet-like gateway network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "net/ethernet.h"
@@ -635,6 +637,148 @@ TEST(Internet, OversizedPacketRejected) {
   net->attach(1, [](Packet) {});
   net->attach(2, [](Packet) {});
   EXPECT_FALSE(net->send(make_packet(1, 2, 1000, kTimeNever)));  // MTU 576
+}
+
+// ------------------------------------------- packets held by the media
+//
+// Links, the Ethernet medium and gateways hold packets through their waits
+// (serialization, propagation, processing) in FIFOs, and the engine events
+// that end the waits carry only ids. These tests pin the delivery order and
+// times to what per-packet closures produced: each packet's own
+// serialization start + transmission + constant delay.
+
+// Departure times of packets that become ready at `ready` and are
+// serialized one at a time (`tx[i]` each), then delayed by `delay`.
+std::vector<Time> serialized(const std::vector<Time>& ready,
+                             const std::vector<Time>& tx, Time delay) {
+  std::vector<Time> out;
+  Time wire_free = 0;
+  for (std::size_t i = 0; i < ready.size(); ++i) {
+    wire_free = std::max(wire_free, ready[i]) + tx[i];
+    out.push_back(wire_free + delay);
+  }
+  return out;
+}
+
+TEST(MediaFifo, LinkEqualTimeSendsDeliverInOrderAtSerializedTimes) {
+  sim::Simulator sim;
+  SimplexLink link(sim, test_link_config(), Rng(1));
+  std::vector<std::uint64_t> order;
+  std::vector<Time> arrivals;
+  link.set_sink([&](Packet p) {
+    order.push_back(p.stream);
+    arrivals.push_back(sim.now());
+  });
+  const std::vector<std::size_t> sizes = {100, 500, 40, 1000, 7};
+  std::vector<Time> tx;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    ASSERT_TRUE(link.send(make_packet(1, 2, sizes[i], kTimeNever, 0, i + 1)));
+    tx.push_back(usec(static_cast<Time>(sizes[i])));  // 1 B/us, no framing
+  }
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(arrivals, serialized(std::vector<Time>(sizes.size(), 0), tx, usec(100)));
+}
+
+TEST(MediaFifo, LinkDownDuringPropagationDropsExactlyTheInFlightPackets) {
+  sim::Simulator sim;
+  auto config = test_link_config();
+  config.propagation_delay = msec(10);
+  SimplexLink link(sim, config, Rng(1));
+  std::vector<std::pair<std::uint64_t, Time>> got;
+  link.set_sink([&](Packet p) { got.emplace_back(p.stream, sim.now()); });
+
+  // 1 and 2 leave the wire at 1 ms and 2 ms and arrive at 11 ms and 12 ms.
+  // The link is down from 5 ms to 11.5 ms: 1 lands while it is down, 2
+  // after it is back.
+  link.send(make_packet(1, 2, 1000, kTimeNever, 0, 1));
+  link.send(make_packet(1, 2, 1000, kTimeNever, 0, 2));
+  sim.at(msec(5), [&] { link.set_down(true); });
+  sim.at(usec(11'500), [&] { link.set_down(false); });
+  // 3 and 4 are both in flight for the whole of the second outage.
+  sim.at(msec(20), [&] {
+    link.send(make_packet(1, 2, 1000, kTimeNever, 0, 3));
+    link.send(make_packet(1, 2, 1000, kTimeNever, 0, 4));
+  });
+  sim.at(msec(25), [&] { link.set_down(true); });
+  sim.at(msec(40), [&] { link.set_down(false); });
+  // 5 goes out on the healed link and must arrive as itself, on time.
+  sim.at(msec(50), [&] { link.send(make_packet(1, 2, 1000, kTimeNever, 0, 5)); });
+  sim.run();
+
+  const std::vector<std::pair<std::uint64_t, Time>> expected = {
+      {2, msec(12)}, {5, msec(61)}};
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(link.stats().dropped_down, 3u);
+  EXPECT_EQ(link.stats().delivered, 2u);
+}
+
+TEST(MediaFifo, EthernetBackToBackFramesDeliverInOrderAtSerializedTimes) {
+  sim::Simulator sim;
+  auto traits = ethernet_traits();
+  EthernetNetwork net(sim, traits, 1);
+  net.attach(1, [](Packet) {});
+  std::vector<std::uint64_t> order;
+  std::vector<Time> arrivals;
+  net.attach(2, [&](Packet p) {
+    order.push_back(p.stream);
+    arrivals.push_back(sim.now());
+  });
+  const std::vector<std::size_t> sizes = {1000, 64, 1500, 300};
+  std::vector<Time> tx;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    ASSERT_TRUE(net.send(make_packet(1, 2, sizes[i], kTimeNever, 0, i + 1)));
+    tx.push_back(transmission_time(sizes[i] + 24, traits.bits_per_second));
+  }
+  // A later frame joins while the first ones are still propagating.
+  sim.at(usec(900), [&] {
+    ASSERT_TRUE(net.send(make_packet(1, 2, 100, kTimeNever, 0, 5)));
+  });
+  tx.push_back(transmission_time(100 + 24, traits.bits_per_second));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(arrivals, serialized({0, 0, 0, 0, usec(900)}, tx,
+                                 traits.propagation_delay));
+}
+
+TEST(MediaFifo, RouterProcessingKeepsOrderAndTiming) {
+  sim::Simulator sim;
+  InternetNetwork net(sim, internet_traits(), 1);
+  // Processing (5 ms) outlasts the access serialization (~0.2 ms per
+  // packet), so several packets wait in each router at once.
+  const Time processing = msec(5);
+  const auto left = net.add_router(processing);
+  const auto right = net.add_router(processing);
+  auto trunk = internet_trunk_config(net.traits(), Discipline::kDeadline);
+  trunk.bit_error_rate = 0.0;
+  net.add_trunk(left, right, trunk);
+  SimplexLink::Config access = test_link_config();
+  access.buffer_bytes = 64 * 1024;
+  net.attach_host(1, left, access);
+  net.attach_host(2, right, access);
+  net.attach(1, [](Packet) {});
+  std::vector<std::uint64_t> order;
+  std::vector<Time> arrivals;
+  net.attach(2, [&](Packet p) {
+    order.push_back(p.stream);
+    arrivals.push_back(sim.now());
+  });
+  const std::vector<std::size_t> sizes = {200, 500, 100, 400};
+  std::vector<Time> access_tx, trunk_tx;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    ASSERT_TRUE(net.send(make_packet(1, 2, sizes[i], kTimeNever, 0, i + 1)));
+    access_tx.push_back(usec(static_cast<Time>(sizes[i])));
+    trunk_tx.push_back(
+        transmission_time(sizes[i] + trunk.framing_bytes, trunk.bits_per_second));
+  }
+  sim.run();
+
+  // access up -> left processing -> trunk -> right processing -> access down
+  auto at_left = serialized(std::vector<Time>(sizes.size(), 0), access_tx,
+                            access.propagation_delay + processing);
+  auto at_right = serialized(at_left, trunk_tx, trunk.propagation_delay + processing);
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(arrivals, serialized(at_right, access_tx, access.propagation_delay));
 }
 
 // ---------------------------------------------------------------- traits

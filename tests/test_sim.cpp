@@ -529,6 +529,39 @@ TEST(CpuScheduler, ExecutesSubmittedTask) {
   EXPECT_EQ(cpu.busy_time(), usec(100));
 }
 
+// Queued protocol work carries its message or packet, so the CPU queues a
+// wider task than the engine: a closure too big for an event stays inline
+// here, and only one too big for both pays a heap cell — and is counted.
+TEST(CpuScheduler, WideClosuresStayInlineAndOversizedOnesAreCounted) {
+  struct Wide {
+    int* ran;
+    char blob[128];
+    void operator()() { ++*ran; }
+  };
+  struct Oversized {
+    int* ran;
+    char blob[CpuScheduler::Task::kInlineSize];
+    void operator()() { ++*ran; }
+  };
+  static_assert(!Task::fits_inline<Wide>());
+  static_assert(CpuScheduler::Task::fits_inline<Wide>());
+  static_assert(!CpuScheduler::Task::fits_inline<Oversized>());
+  // Engine events stay at 64 inline bytes.
+  static_assert(Task::kInlineSize == 64);
+
+  Simulator sim;
+  CpuScheduler cpu(sim, CpuPolicy::kEdf);
+  int ran = 0;
+  cpu.submit(msec(1), usec(10), Wide{&ran, {}});
+  EXPECT_EQ(cpu.heap_fallbacks(), 0u);
+  cpu.submit(msec(2), usec(10), Oversized{&ran, {}});
+  EXPECT_EQ(cpu.heap_fallbacks(), 1u);
+  sim.run();
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(cpu.tasks_completed(), 2u);
+  EXPECT_EQ(sim.stats().scheduled_heap, 0u);  // completions carry only `this`
+}
+
 TEST(CpuScheduler, EdfOrdersByDeadline) {
   Simulator sim;
   CpuScheduler cpu(sim, CpuPolicy::kEdf);

@@ -504,6 +504,11 @@ TEST(Collect, StCountersMatchLayerStats) {
   collect_fabric(m, *world.fabric, "ethernet");
   EXPECT_EQ(m.counter_value("netrms.ethernet.messages_delivered"),
             world.fabric->stats().messages_delivered);
+
+  collect_cpu(m, world.host(2).cpu, "host2");
+  EXPECT_EQ(m.counter_value("sim.host2.cpu_tasks"), world.host(2).cpu.tasks_submitted());
+  EXPECT_GT(m.counter_value("sim.host2.cpu_tasks"), 0u);
+  EXPECT_EQ(m.counter_value("sim.host2.cpu_tasks_heap"), 0u);
   world.st(1).set_metrics(nullptr);
 }
 

@@ -1,10 +1,11 @@
 // Unit tests for src/util: checksums, crypto, RNG, serialization, stats,
-// time, and Result.
+// time, Result, and the FIFO ring.
 #include <gtest/gtest.h>
 
 #include "util/bytes.h"
 #include "util/checksum.h"
 #include "util/crypto.h"
+#include "util/fifo.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -271,6 +272,36 @@ TEST(Serialize, RestConsumesRemainder) {
   (void)r.u8();
   EXPECT_EQ(to_string(r.rest()), "tail");
   EXPECT_TRUE(r.done());
+}
+
+// Small wire encodings pre-size once instead of growing byte by byte.
+TEST(Serialize, WriterPresizesSmallEncodingsOnce) {
+  Bytes out;
+  Writer w(out);
+  const std::size_t presized = out.capacity();
+  w.u8(1);
+  w.u64(2);
+  w.u64(3);  // a 17-byte ack
+  EXPECT_EQ(out.size(), 17u);
+  EXPECT_EQ(out.capacity(), presized);  // never regrown
+}
+
+// ---------------------------------------------------------------- fifo
+
+// Interleaved pushes and pops wrap the head around the ring, then growth
+// must unroll the live elements in order.
+TEST(Fifo, KeepsOrderAcrossWrapAndGrowth) {
+  Fifo<int> q;
+  int next_in = 0, next_out = 0;
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 3 + round % 7; ++i) q.push(next_in++);
+    for (int i = 0; i < 2 + round % 5 && !q.empty(); ++i) {
+      ASSERT_EQ(q.pop(), next_out++);
+    }
+  }
+  EXPECT_EQ(q.size(), static_cast<std::size_t>(next_in - next_out));
+  while (!q.empty()) ASSERT_EQ(q.pop(), next_out++);
+  EXPECT_EQ(next_out, next_in);
 }
 
 // ---------------------------------------------------------------- stats
