@@ -15,14 +15,12 @@
 // The score is the fraction of messages delivered within the stream's
 // requested delay bound ("on time"). Numbers go to BENCH_c11_failover.json.
 //
-// CLI (mirrors bench_c9/c10; the CI gate uses --check):
+// CLI (bench_util.h BaselineGate; the CI gate uses --check):
 //   --write-baseline <path>   write current numbers as the new baseline
 //   --check <path> <tol%>     exit 1 if an on-time fraction drops > tol%
 //                             BELOW the baseline (higher is better here,
 //                             so the gate is inverted relative to c9/c10)
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 
@@ -142,35 +140,10 @@ RunResult run_one(Mode mode) {
   return r;
 }
 
-std::map<std::string, double> read_baseline(const std::string& path) {
-  std::map<std::string, double> out;
-  std::ifstream in(path);
-  std::string key;
-  double value = 0;
-  while (in >> key >> value) out[key] = value;
-  return out;
-}
-
-void write_baseline(const std::string& path,
-                    const std::map<std::string, double>& vals) {
-  std::ofstream out(path);
-  for (const auto& [k, v] : vals) out << k << " " << v << "\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string write_path;
-  std::string check_path;
-  double tolerance_pct = 20.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--write-baseline") == 0 && i + 1 < argc) {
-      write_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0 && i + 2 < argc) {
-      check_path = argv[++i];
-      tolerance_pct = std::atof(argv[++i]);
-    }
-  }
+  const BaselineGate gate(argc, argv);
 
   title("C11", "path failover: on-time delivery across a silent network outage");
 
@@ -224,32 +197,6 @@ int main(int argc, char** argv) {
   current["ontime_with_mbb"] = mbb.ontime_fraction();
   current["ontime_ratio"] = ratio;
 
-  if (!write_path.empty()) {
-    write_baseline(write_path, current);
-    std::printf("wrote baseline to %s\n", write_path.c_str());
-  }
-
-  if (!check_path.empty()) {
-    const auto base = read_baseline(check_path);
-    if (base.empty()) {
-      std::fprintf(stderr, "no baseline at %s\n", check_path.c_str());
-      return 1;
-    }
-    bool ok = true;
-    for (const auto& [key, base_v] : base) {
-      auto it = current.find(key);
-      if (it == current.end()) continue;
-      // Higher is better for every metric here: fail when the current
-      // value drops more than the tolerance below the baseline.
-      const double limit = base_v * (1.0 - tolerance_pct / 100.0) - 0.001;
-      if (it->second < limit) {
-        std::fprintf(stderr, "REGRESSION: %s %.4f < limit %.4f (baseline %.4f)\n",
-                     key.c_str(), it->second, limit, base_v);
-        ok = false;
-      }
-    }
-    if (!ok) return 1;
-    std::printf("on-time gate passed (tolerance %.0f%%)\n", tolerance_pct);
-  }
+  if (!gate.passes("on-time", current, Better::kHigher, 0.001)) return 1;
   return 0;
 }

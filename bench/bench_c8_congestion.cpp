@@ -26,12 +26,10 @@
 // the overload regime's drops by an order of magnitude and leaves the
 // deterministic class untouched.
 //
-// CLI (mirrors bench_c9/c10/c11; the CI gate uses --check):
+// CLI (bench_util.h BaselineGate; the CI gate uses --check):
 //   --write-baseline <path>   write current cc numbers as the new baseline
 //   --check <path> <tol%>     exit 1 if a metric drops > tol% BELOW the
 //                             baseline (higher is better for every key)
-#include <cstring>
-#include <fstream>
 
 #include "bench_util.h"
 #include "baseline/sliding_window.h"
@@ -329,35 +327,10 @@ CongestionRow run_tcp(bool quench) {
   return out;
 }
 
-std::map<std::string, double> read_baseline(const std::string& path) {
-  std::map<std::string, double> out;
-  std::ifstream in(path);
-  std::string key;
-  double value = 0;
-  while (in >> key >> value) out[key] = value;
-  return out;
-}
-
-void write_baseline(const std::string& path,
-                    const std::map<std::string, double>& vals) {
-  std::ofstream out(path);
-  for (const auto& [k, v] : vals) out << k << " " << v << "\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string write_path;
-  std::string check_path;
-  double tolerance_pct = 20.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--write-baseline") == 0 && i + 1 < argc) {
-      write_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0 && i + 2 < argc) {
-      check_path = argv[++i];
-      tolerance_pct = std::atof(argv[++i]);
-    }
-  }
+  const BaselineGate gate(argc, argv);
 
   title("C8", "gateway congestion: RMS capacity vs TCP-like + source quench");
 
@@ -463,32 +436,6 @@ int main(int argc, char** argv) {
   note("goodput with far fewer drops, and paced best-effort bulk shares the");
   note("gateway with deterministic reservations without touching them.");
 
-  if (!write_path.empty()) {
-    write_baseline(write_path, current);
-    std::printf("wrote baseline to %s\n", write_path.c_str());
-  }
-
-  if (!check_path.empty()) {
-    const auto base = read_baseline(check_path);
-    if (base.empty()) {
-      std::fprintf(stderr, "no baseline at %s\n", check_path.c_str());
-      return 1;
-    }
-    bool ok = true;
-    for (const auto& [key, base_v] : base) {
-      auto it = current.find(key);
-      if (it == current.end()) continue;
-      // Higher is better for every metric here: fail when the current
-      // value drops more than the tolerance below the baseline.
-      const double limit = base_v * (1.0 - tolerance_pct / 100.0) - 0.001;
-      if (it->second < limit) {
-        std::fprintf(stderr, "REGRESSION: %s %.4f < limit %.4f (baseline %.4f)\n",
-                     key.c_str(), it->second, limit, base_v);
-        ok = false;
-      }
-    }
-    if (!ok) return 1;
-    std::printf("cc gate passed (tolerance %.0f%%)\n", tolerance_pct);
-  }
+  if (!gate.passes("cc", current, Better::kHigher, 0.001)) return 1;
   return 0;
 }

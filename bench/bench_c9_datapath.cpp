@@ -24,8 +24,6 @@
 // recorded before the zero-copy datapath refactor; the default run reports
 // the reduction against it when the file is reachable.
 #include <chrono>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include "bench_util.h"
@@ -166,38 +164,12 @@ DatapathResult run_piggyback(int streams, std::size_t message_size,
   return r;
 }
 
-std::map<std::string, double> read_baseline(const std::string& path) {
-  std::map<std::string, double> out;
-  std::ifstream in(path);
-  std::string key;
-  double value;
-  while (in >> key >> value) out[key] = value;
-  return out;
-}
-
-void write_baseline(const std::string& path,
-                    const std::map<std::string, double>& values) {
-  std::ofstream out(path);
-  for (const auto& [k, v] : values) out << k << ' ' << v << '\n';
-  std::printf("wrote baseline %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   title("C9", "datapath heap allocations and throughput per delivered message");
 
-  std::string write_path;
-  std::string check_path;
-  double check_tolerance_pct = 20.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--write-baseline") == 0 && i + 1 < argc) {
-      write_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
-      check_path = argv[++i];
-      if (i + 1 < argc) check_tolerance_pct = std::atof(argv[++i]);
-    }
-  }
+  const BaselineGate gate(argc, argv);
 
   if (!alloc_count::instrumented()) {
     std::fprintf(stderr, "binary is not linked against dash_alloc_count\n");
@@ -251,26 +223,7 @@ int main(int argc, char** argv) {
     break;
   }
 
-  if (!write_path.empty()) write_baseline(write_path, current);
-
-  if (!check_path.empty()) {
-    const auto baseline = read_baseline(check_path);
-    if (baseline.empty()) {
-      std::fprintf(stderr, "no baseline at %s\n", check_path.c_str());
-      return 2;
-    }
-    bool ok = true;
-    for (const auto& [key, value] : current) {
-      auto it = baseline.find(key);
-      if (it == baseline.end()) continue;
-      const double limit = it->second * (1.0 + check_tolerance_pct / 100.0);
-      const bool pass = value <= limit;
-      std::printf("check %-22s %8.1f vs baseline %8.1f (limit %8.1f): %s\n",
-                  key.c_str(), value, it->second, limit, pass ? "ok" : "REGRESSED");
-      ok = ok && pass;
-    }
-    if (!ok) return 1;
-  }
+  if (!gate.passes("datapath", current, Better::kLower, 0.0)) return 1;
 
   note("\nShape check: the zero-copy datapath serializes each network packet");
   note("exactly once into a shared arena; fragments and piggybacked components");

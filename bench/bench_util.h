@@ -6,6 +6,9 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -169,6 +172,80 @@ class BenchJson {
  private:
   std::string name_;
   std::vector<std::string> rows_;
+};
+
+/// A baseline file: one "key value" pair per line. Empty when absent.
+inline std::map<std::string, double> read_baseline(const std::string& path) {
+  std::map<std::string, double> out;
+  std::ifstream in(path);
+  std::string key;
+  double value = 0;
+  while (in >> key >> value) out[key] = value;
+  return out;
+}
+
+/// Which way a gated metric improves.
+enum class Better { kHigher, kLower };
+
+/// The regression gate of the perf-trajectory benches. CLI:
+///   --write-baseline <path>   write the current numbers as the new baseline
+///   --check <path> [tol%]     fail when a metric the baseline also holds
+///                             regresses more than tol% (default 20)
+class BaselineGate {
+ public:
+  BaselineGate(int argc, char** argv) {
+    for (int i = 1; i < argc; ++i) {
+      if (std::strcmp(argv[i], "--write-baseline") == 0 && i + 1 < argc) {
+        write_path_ = argv[++i];
+      } else if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
+        check_path_ = argv[++i];
+        if (i + 1 < argc) tolerance_pct_ = std::atof(argv[++i]);
+      }
+    }
+  }
+
+  bool checking() const { return !check_path_.empty(); }
+
+  /// Writes `current` when asked to, then checks it when asked to. A
+  /// higher-is-better metric may fall to base·(1 − tol) − slack, a
+  /// lower-is-better one rise to base·(1 + tol) + slack; the absolute
+  /// slack keeps near-zero baselines gateable. Prints every regression,
+  /// or "<name> gate passed"; false on a regression or a missing baseline.
+  bool passes(const char* name, const std::map<std::string, double>& current,
+              Better better, double slack) const {
+    if (!write_path_.empty()) {
+      std::ofstream out(write_path_);
+      for (const auto& [k, v] : current) out << k << ' ' << v << '\n';
+      std::printf("wrote baseline to %s\n", write_path_.c_str());
+    }
+    if (!checking()) return true;
+    const auto base = read_baseline(check_path_);
+    if (base.empty()) {
+      std::fprintf(stderr, "no baseline at %s\n", check_path_.c_str());
+      return false;
+    }
+    const double tol = tolerance_pct_ / 100.0;
+    const bool higher = better == Better::kHigher;
+    bool ok = true;
+    for (const auto& [key, base_v] : base) {
+      auto it = current.find(key);
+      if (it == current.end()) continue;
+      const double limit =
+          higher ? base_v * (1.0 - tol) - slack : base_v * (1.0 + tol) + slack;
+      if (higher ? it->second < limit : it->second > limit) {
+        std::fprintf(stderr, "REGRESSION: %s %.4f %c limit %.4f (baseline %.4f)\n",
+                     key.c_str(), it->second, higher ? '<' : '>', limit, base_v);
+        ok = false;
+      }
+    }
+    if (ok) std::printf("%s gate passed (tolerance %.0f%%)\n", name, tolerance_pct_);
+    return ok;
+  }
+
+ private:
+  std::string write_path_;
+  std::string check_path_;
+  double tolerance_pct_ = 20.0;
 };
 
 inline void title(const char* id, const char* what) {

@@ -16,6 +16,13 @@ std::string name_string(const Bytes& b) {
   return std::string(reinterpret_cast<const char*>(b.data()), b.size());
 }
 
+/// Folds one round-trip sample (a pong or a data ack) into the path's EWMA;
+/// the first sample seeds it.
+void smooth_rtt(ProbeHealth& h, double rtt_ns, double alpha) {
+  h.ewma_rtt_ns =
+      h.ewma_rtt_ns < 0 ? rtt_ns : alpha * rtt_ns + (1.0 - alpha) * h.ewma_rtt_ns;
+}
+
 }  // namespace
 
 PathManager::PathManager(sim::Simulator& sim, st::SubtransportLayer& st,
@@ -221,11 +228,7 @@ void PathManager::on_probe_message(rms::Message msg) {
       if (h.outstanding_seq == 0 || *seq != h.outstanding_seq) return;  // stale
       h.outstanding_seq = 0;
       const auto rtt = static_cast<std::uint64_t>(sim_.now() - *t_sent);
-      const auto rtt_d = static_cast<double>(rtt);
-      h.ewma_rtt_ns = h.ewma_rtt_ns < 0
-                          ? rtt_d
-                          : config_.rtt_ewma_alpha * rtt_d +
-                                (1.0 - config_.rtt_ewma_alpha) * h.ewma_rtt_ns;
+      smooth_rtt(h, static_cast<double>(rtt), config_.rtt_ewma_alpha);
       h.consecutive_timeouts = 0;
       ++h.pongs_received;
       ++stats_.pongs_received;
@@ -636,11 +639,7 @@ void PathManager::on_data_ack(HostId peer, netrms::NetRmsFabric* fabric,
   const std::size_t idx = fabric_index(fabric);
   if (idx == kNoFabric || rtt < 0) return;
   ProbeHealth& h = probes_[{peer, idx}];
-  const auto rtt_d = static_cast<double>(rtt);
-  h.ewma_rtt_ns = h.ewma_rtt_ns < 0
-                      ? rtt_d
-                      : config_.rtt_ewma_alpha * rtt_d +
-                            (1.0 - config_.rtt_ewma_alpha) * h.ewma_rtt_ns;
+  smooth_rtt(h, static_cast<double>(rtt), config_.rtt_ewma_alpha);
   h.consecutive_timeouts = 0;
   h.last_data_ack = sim_.now();
   ++h.data_ack_samples;

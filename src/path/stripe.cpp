@@ -8,6 +8,46 @@
 namespace dash::path {
 namespace {
 
+/// At most this many subpaths (one per distinct fabric, in registration
+/// order); fewer when fewer networks reach the peer or admit the stream.
+constexpr std::size_t kMaxSubpaths = 4;
+
+/// RTO bounds: RFC 6298 SRTT + 4·RTTVAR, never below kMinRto; kMaxRto
+/// before the first sample and as the ceiling of the per-retransmission
+/// backoff, so a run of lost acks cannot back an attempt off beyond the
+/// lifetime of the transfer.
+constexpr Time kMinRto = msec(20);
+constexpr Time kMaxRto = sec(1);
+
+/// The retransmit scan runs this often while anything is in flight.
+constexpr Time kTickInterval = msec(10);
+
+/// Consecutive scan rounds with an expired send that declare a subpath
+/// dead: its in-flight messages move to the survivors and it is never
+/// dispatched to again.
+constexpr int kSubpathDeathAfter = 3;
+
+/// Dispatch weight of a subpath before its first RTT sample.
+constexpr Time kInitialRtt = msec(5);
+
+/// RACK reordering window: half the subpath's SRTT, never under 2 ms, so
+/// in-window reordering never triggers a spurious retransmit.
+constexpr cc::RackConfig kRackWindow{0.5, msec(2), kTimeNever};
+
+/// Paced recovery: retransmissions and dead-subpath redistribution get
+/// kPaceGain x the stripe's smoothed ack rate per tick, at least
+/// kPaceMinBytesPerTick so recovery starts before the first rate sample.
+/// Re-blasting a dead subpath's backlog in one burst would overrun the
+/// survivors' buffers; deferred sends go out on the following ticks.
+constexpr double kPaceGain = 1.25;
+constexpr std::size_t kPaceMinBytesPerTick = 16 * 1024;
+constexpr double kAckRateAlpha = 0.3;
+
+/// Receiver reorder window (messages buffered past a gap). The ST fast ack
+/// fires at the peer's ST, so a message dropped on overflow is gone for
+/// good: sized for the worst subpath skew, not the average.
+constexpr std::size_t kReorderWindow = 4096;
+
 /// Substream request derived from the client's: same quality and delay
 /// envelope, message size widened for the stripe header.
 rms::Request substream_request(const rms::Request& request) {
@@ -23,13 +63,13 @@ rms::Request substream_request(const rms::Request& request) {
 
 Result<std::unique_ptr<StripedStream>> StripedStream::create(
     st::SubtransportLayer& st, PathManager* pm, const rms::Request& request,
-    const rms::Label& target, StripeConfig config) {
+    const rms::Label& target) {
   const rms::Request sub_request = substream_request(request);
   std::vector<Subpath> subpaths;
   Error last_error = make_error(Errc::kNoRoute, "no attached network reaches host " +
                                                     std::to_string(target.host));
   for (netrms::NetRmsFabric* fabric : st.networks()) {
-    if (subpaths.size() >= config.max_subpaths) break;
+    if (subpaths.size() >= kMaxSubpaths) break;
     if (!fabric->network().attached(target.host)) continue;
     auto created =
         st.create_on(*fabric, sub_request, rms::Label{target.host, kStripePort});
@@ -41,7 +81,7 @@ Result<std::unique_ptr<StripedStream>> StripedStream::create(
     sp.stream = std::move(created).value();
     sp.st_rms = static_cast<st::StRms*>(sp.stream.get());
     sp.fabric = fabric;
-    sp.ewma_rtt_ns = static_cast<double>(config.initial_rtt);
+    sp.rack = cc::RackState(kRackWindow);
     subpaths.push_back(std::move(sp));
   }
   if (subpaths.empty()) return last_error;
@@ -63,7 +103,7 @@ Result<std::unique_ptr<StripedStream>> StripedStream::create(
                                                      kStripeHeaderBytes);
 
   auto stream = std::unique_ptr<StripedStream>(
-      new StripedStream(st, pm, std::move(actual), target, config));
+      new StripedStream(st, pm, std::move(actual), target));
   stream->subpaths_ = std::move(subpaths);
   // The first substream's ST id is unique per sending host (ST ids are
   // allocated from one per-host counter), so it serves as the wire-level
@@ -80,17 +120,23 @@ Result<std::unique_ptr<StripedStream>> StripedStream::create(
 }
 
 StripedStream::StripedStream(st::SubtransportLayer& st, PathManager* pm,
-                             rms::Params params, rms::Label target,
-                             StripeConfig config)
+                             rms::Params params, rms::Label target)
     : Rms(std::move(params)),
       st_(st),
       sim_(st.simulator()),
       pm_(pm),
       target_(target),
-      config_(config),
-      pace_budget_(static_cast<double>(config.pace_min_bytes_per_tick)) {}
+      pace_budget_(static_cast<double>(kPaceMinBytesPerTick)) {}
 
 StripedStream::~StripedStream() { sim_.cancel(tick_timer_); }
+
+Time StripedStream::srtt_or_initial(const Subpath& sp) {
+  return sp.rtt.valid() ? sp.rtt.srtt() : kInitialRtt;
+}
+
+double StripedStream::subpath_rtt_ns(std::size_t i) const {
+  return static_cast<double>(srtt_or_initial(subpaths_.at(i)));
+}
 
 std::size_t StripedStream::live_subpaths() const {
   std::size_t n = 0;
@@ -156,13 +202,16 @@ Status StripedStream::dispatch(std::uint64_t seq, Unacked& u, std::size_t subpat
 std::size_t StripedStream::pick_subpath(std::size_t avoid) {
   // Smoothed-RTT-weighted round robin: every pick credits each live
   // subpath in proportion to 1/RTT, then charges the winner one unit —
-  // deterministic, smooth, and it re-weights as the EWMA moves. `avoid`
+  // deterministic, smooth, and it re-weights as the SRTT moves. `avoid`
   // deprioritizes the subpath a retransmission just expired on (it is
   // chosen again only when it is the sole survivor).
+  const auto weight = [](const Subpath& sp) {
+    return 1.0 / std::max(static_cast<double>(srtt_or_initial(sp)), 1.0);
+  };
   double total = 0.0;
   for (const Subpath& sp : subpaths_) {
     if (sp.dead || (sp.st_rms != nullptr && sp.st_rms->failed())) continue;
-    total += 1.0 / std::max(sp.ewma_rtt_ns, 1.0);
+    total += weight(sp);
   }
   if (total <= 0.0) return subpaths_.size();
 
@@ -171,7 +220,7 @@ std::size_t StripedStream::pick_subpath(std::size_t avoid) {
   for (std::size_t i = 0; i < subpaths_.size(); ++i) {
     Subpath& sp = subpaths_[i];
     if (sp.dead || (sp.st_rms != nullptr && sp.st_rms->failed())) continue;
-    sp.credit += (1.0 / std::max(sp.ewma_rtt_ns, 1.0)) / total;
+    sp.credit += weight(sp) / total;
     if (i == avoid) continue;
     if (best == subpaths_.size() || sp.credit > best_credit) {
       best = i;
@@ -184,11 +233,6 @@ std::size_t StripedStream::pick_subpath(std::size_t avoid) {
   }
   if (best != subpaths_.size()) subpaths_[best].credit -= 1.0;
   return best;
-}
-
-Time StripedStream::rto_for(const Subpath& sp) const {
-  const auto scaled = static_cast<Time>(config_.rto_multiplier * sp.ewma_rtt_ns);
-  return std::max(config_.min_rto, scaled);
 }
 
 void StripedStream::on_ack(std::size_t idx, std::uint64_t seq) {
@@ -204,34 +248,27 @@ void StripedStream::on_ack(std::size_t idx, std::uint64_t seq) {
   // and no clean sample ever arrives to break the loop). The escape hatch:
   // whichever copy the ack answers was sent no later than the *last*
   // transmission, so `now - sent_at` bounds that copy's RTT from below —
-  // let it grow, never shrink, the estimate. (Measuring from the first
-  // transmission instead would fold retransmission waits and establishment
-  // queueing into the estimate; one substream stuck in a slow handshake
-  // can then inflate a path's RTO past the lifetime of the transfer.)
+  // fed only when it exceeds the SRTT, it can raise the estimate but never
+  // lower it. (Measuring from the first transmission instead would fold
+  // retransmission waits and establishment queueing into the estimate; one
+  // substream stuck in a slow handshake can then inflate a path's RTO past
+  // the lifetime of the transfer.)
+  const Time now = sim_.now();
   if (it->second.sent_at >= 0) {
-    const auto sample = static_cast<double>(sim_.now() - it->second.sent_at);
-    if (it->second.retx == 0) {
-      sp.ewma_rtt_ns = config_.rtt_ewma_alpha * sample +
-                       (1.0 - config_.rtt_ewma_alpha) * sp.ewma_rtt_ns;
-    } else if (sample > sp.ewma_rtt_ns) {
-      sp.ewma_rtt_ns = config_.rtt_ewma_alpha * sample +
-                       (1.0 - config_.rtt_ewma_alpha) * sp.ewma_rtt_ns;
-    }
+    const Time sample = now - it->second.sent_at;
+    if (it->second.retx == 0 || sample > srtt_or_initial(sp)) sp.rtt.sample(sample);
   }
   // Smoothed delivery rate, feeding the paced-recovery budget. Same-instant
   // acks (a burst delivered in one event) contribute no interval; skip them.
-  const Time now = sim_.now();
   const std::size_t acked_bytes = it->second.payload.size() + kStripeHeaderBytes;
   if (sp.last_ack_at >= 0 && now > sp.last_ack_at) {
     const double inst = static_cast<double>(acked_bytes) / to_seconds(now - sp.last_ack_at);
-    sp.ack_rate_Bps = config_.rtt_ewma_alpha * inst +
-                      (1.0 - config_.rtt_ewma_alpha) * sp.ack_rate_Bps;
+    sp.ack_rate_Bps = kAckRateAlpha * inst + (1.0 - kAckRateAlpha) * sp.ack_rate_Bps;
   }
   sp.last_ack_at = now;
 
-  const bool rack_advance = config_.rack && it->second.subpath == idx &&
-                            it->second.sent_at > sp.rack_xmit;
-  if (rack_advance) sp.rack_xmit = it->second.sent_at;
+  const bool rack_advance =
+      it->second.subpath == idx && sp.rack.on_delivered(it->second.sent_at);
   unacked_.erase(it);
   // A newer send on this subpath was just confirmed: anything older still
   // unacknowledged past the reordering window is lost — recover it now
@@ -240,32 +277,34 @@ void StripedStream::on_ack(std::size_t idx, std::uint64_t seq) {
 }
 
 void StripedStream::rack_scan(std::size_t idx) {
-  Subpath& sp = subpaths_[idx];
-  const Time reo =
-      std::max(config_.rack_min_reo_wnd,
-               static_cast<Time>(config_.rack_reo_wnd_fraction * sp.ewma_rtt_ns));
+  const Subpath& sp = subpaths_[idx];
+  const Time srtt = srtt_or_initial(sp);
   std::vector<std::uint64_t> lost;
   for (const auto& [seq, u] : unacked_) {
     if (u.subpath != idx || u.sent_at < 0) continue;
-    if (u.sent_at + reo < sp.rack_xmit) lost.push_back(seq);
+    if (sp.rack.lost(u.sent_at, srtt)) lost.push_back(seq);
   }
   for (std::uint64_t seq : lost) {
     auto it = unacked_.find(seq);
     if (it == unacked_.end()) continue;
-    Unacked& u = it->second;
-    if (!pace_allow(u.payload.size() + kStripeHeaderBytes)) break;
-    const std::size_t next = pick_subpath(idx);
-    if (next == subpaths_.size()) break;
-    ++u.retx;
-    ++stats_.retransmits;
+    if (resend(seq, it->second, idx) != Resend::kSent) break;
     ++stats_.rack_retransmits;
-    (void)dispatch(seq, u, next);
   }
   arm_tick();
 }
 
+StripedStream::Resend StripedStream::resend(std::uint64_t seq, Unacked& u,
+                                            std::size_t avoid) {
+  if (!pace_allow(u.payload.size() + kStripeHeaderBytes)) return Resend::kPaced;
+  const std::size_t next = pick_subpath(avoid);
+  if (next == subpaths_.size()) return Resend::kNoSurvivor;
+  ++u.retx;
+  ++stats_.retransmits;
+  (void)dispatch(seq, u, next);
+  return Resend::kSent;
+}
+
 bool StripedStream::pace_allow(std::size_t bytes) {
-  if (!config_.paced_redistribute) return true;
   if (pace_budget_ < static_cast<double>(bytes)) {
     ++stats_.pace_deferred;
     return false;
@@ -279,8 +318,8 @@ void StripedStream::refill_pace_budget() {
   for (const Subpath& sp : subpaths_) {
     if (!sp.dead) rate += sp.ack_rate_Bps;
   }
-  pace_budget_ = std::max(static_cast<double>(config_.pace_min_bytes_per_tick),
-                          rate * to_seconds(config_.tick_interval) * config_.pace_gain);
+  pace_budget_ = std::max(static_cast<double>(kPaceMinBytesPerTick),
+                          rate * to_seconds(kTickInterval) * kPaceGain);
 }
 
 void StripedStream::on_subpath_failed(std::size_t idx) {
@@ -305,21 +344,17 @@ void StripedStream::kill_subpath(std::size_t idx, const char* why) {
 void StripedStream::redistribute_from(std::size_t idx) {
   for (auto& [seq, u] : unacked_) {
     if (u.subpath != idx) continue;
-    // Budget exhausted: the leftovers keep pointing at the dead subpath
-    // and the tick scan moves them as the budget refills.
-    if (!pace_allow(u.payload.size() + kStripeHeaderBytes)) return;
-    const std::size_t next = pick_subpath(idx);
-    if (next == subpaths_.size()) return;  // raced to zero survivors
-    ++u.retx;
-    ++stats_.retransmits;
-    (void)dispatch(seq, u, next);
+    // Budget exhausted (the leftovers keep pointing at the dead subpath
+    // and the tick scan moves them as the budget refills) or raced to
+    // zero survivors.
+    if (resend(seq, u, idx) != Resend::kSent) return;
   }
 }
 
 void StripedStream::arm_tick() {
   if (tick_armed_ || unacked_.empty() || failed() || closed()) return;
   tick_armed_ = true;
-  tick_timer_ = sim_.timer_after(config_.tick_interval, [this] { tick(); });
+  tick_timer_ = sim_.timer_after(kTickInterval, [this] { tick(); });
 }
 
 void StripedStream::tick() {
@@ -346,26 +381,21 @@ void StripedStream::tick() {
       // Without backoff a frozen RTT estimate (retransmitted messages never
       // produce samples) can sit below the real ack latency and every tick
       // becomes a retransmit storm that feeds its own congestion.
-      const Time rto = std::min(config_.max_rto,
-                                rto_for(usp) << std::min<std::uint32_t>(u.retx, 6));
+      const Time rto = std::min(kMaxRto, usp.rtt.rto(kMinRto, kMaxRto, kMaxRto)
+                                             << std::min<std::uint32_t>(u.retx, 6));
       if (now - u.sent_at < rto) continue;
       expired[u.subpath] = true;
     }
     // Orphaned sends (paced redistribution left them on a dead subpath)
     // move immediately; live-path expiries charge the same budget.
-    if (!pace_allow(u.payload.size() + kStripeHeaderBytes)) continue;
-    const std::size_t next = pick_subpath(u.subpath);
-    if (next == subpaths_.size()) break;
-    ++u.retx;
-    ++stats_.retransmits;
-    (void)dispatch(seq, u, next);
+    if (resend(seq, u, u.subpath) == Resend::kNoSurvivor) break;
   }
   // One strike per scan round per subpath, however many sends expired on
   // it: death declaration is time-based (rounds), not count-based.
   for (std::size_t i = 0; i < subpaths_.size(); ++i) {
     if (subpaths_[i].dead) continue;
     if (expired[i]) {
-      if (++subpaths_[i].expired_rounds >= config_.subpath_death_after) {
+      if (++subpaths_[i].expired_rounds >= kSubpathDeathAfter) {
         kill_subpath(i, "consecutive ack timeouts");
       }
     } else {
@@ -388,9 +418,8 @@ void StripedStream::do_close() {
 
 // ---------------------------------------------------------------- receiver
 
-StripeEndpoint::StripeEndpoint(sim::Simulator& sim, rms::PortRegistry& ports,
-                               StripeConfig config)
-    : sim_(sim), ports_(ports), config_(config) {
+StripeEndpoint::StripeEndpoint(sim::Simulator& sim, rms::PortRegistry& ports)
+    : sim_(sim), ports_(ports) {
   ports_.bind(kStripePort, &port_);
   port_.set_handler([this](rms::Message m) { on_message(std::move(m)); });
 }
@@ -421,7 +450,7 @@ void StripeEndpoint::on_message(rms::Message msg) {
   out.sent_at = *client_sent_at;
 
   if (*seq != ps.next_expected) {
-    if (ps.buffer.size() >= config_.reorder_window) {
+    if (ps.buffer.size() >= kReorderWindow) {
       ++stats_.window_overflow;  // the exactly-once guarantee just broke
       return;
     }

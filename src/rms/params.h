@@ -123,6 +123,27 @@ bool well_formed(const Params& p);
 /// bytes/second; 0 if the parameters imply no finite bound.
 double implied_bandwidth_bytes_per_sec(const Params& p);
 
+/// The §2.3 verdict on an observed delay record: zero misses for a
+/// deterministic bound, a miss fraction (misses / samples) within
+/// 1 - delay_probability for a statistical one, always true for
+/// best-effort. Every monitor and ledger judges a stream with this one rule.
+inline bool guarantee_holds(const Params& p, std::uint64_t misses,
+                            std::uint64_t samples) {
+  switch (p.delay.type) {
+    case BoundType::kDeterministic:
+      return misses == 0;
+    case BoundType::kStatistical: {
+      const double miss_fraction =
+          samples == 0 ? 0.0
+                       : static_cast<double>(misses) / static_cast<double>(samples);
+      return miss_fraction <= 1.0 - p.statistical.delay_probability + 1e-9;
+    }
+    case BoundType::kBestEffort:
+      return true;
+  }
+  return true;
+}
+
 /// A request: the provider returns actual parameters compatible with
 /// `acceptable`, matching `desired` as closely as possible (§2.4).
 struct Request {

@@ -44,19 +44,10 @@ struct StreamAccount {
                           : static_cast<double>(misses) / static_cast<double>(delivered);
   }
 
-  /// Verdict rules of rms::DelayMonitor::guarantee_holds (§2.3): zero
-  /// misses for deterministic, miss fraction within 1 - delay_probability
-  /// for statistical, always true for best-effort.
+  /// The verdict rms::DelayMonitor::guarantee_holds gives (§2.3), over
+  /// the delivered messages.
   bool guarantee_holds() const {
-    switch (params.delay.type) {
-      case rms::BoundType::kDeterministic:
-        return misses == 0;
-      case rms::BoundType::kStatistical:
-        return miss_fraction() <= 1.0 - params.statistical.delay_probability + 1e-9;
-      case rms::BoundType::kBestEffort:
-        return true;
-    }
-    return true;
+    return rms::guarantee_holds(params, misses, delivered);
   }
 
   /// Peak outstanding bytes against the contracted capacity (§2.2: clients

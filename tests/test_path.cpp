@@ -545,11 +545,9 @@ TEST(Path, UpgradesBackToHomeNetworkAfterRecovery) {
 
 constexpr rms::PortId kStripeTarget = 60;
 
-std::unique_ptr<StripedStream> make_stripe(TwoNetWorld& world,
-                                           StripeConfig config = {}) {
+std::unique_ptr<StripedStream> make_stripe(TwoNetWorld& world) {
   auto stream = StripedStream::create(world.st(1), &world.path(1),
-                                      reliable_request(), {2, kStripeTarget},
-                                      config);
+                                      reliable_request(), {2, kStripeTarget});
   EXPECT_TRUE(stream.ok()) << stream.error().message;
   return stream.ok() ? std::move(stream).value() : nullptr;
 }
@@ -587,6 +585,42 @@ TEST(Stripe, SplitsLoadAcrossBothNetworksInOrder) {
   EXPECT_EQ(endpoint.stats().delivered, static_cast<std::uint64_t>(kMessages));
   EXPECT_EQ(endpoint.stats().duplicates, 0u);
   EXPECT_EQ(endpoint.stats().window_overflow, 0u);
+}
+
+TEST(Stripe, SlowHealthySubpathStaysAlive) {
+  // A clean subpath whose round trip is tens of milliseconds must not be
+  // declared dead before its first ack: until a sample exists, the RTO is
+  // the conservative RFC 6298 fallback, not a multiple of a guessed RTT.
+  for (const Time one_way : {msec(20), msec(40), msec(60)}) {
+    SCOPED_TRACE("eth-b one-way delay " + std::to_string(one_way / msec(1)) + " ms");
+    net::NetworkTraits slow_b = net::ethernet_traits("eth-b");
+    slow_b.propagation_delay = one_way;
+    TwoNetWorld world(2, net::ethernet_traits("eth-a"), slow_b);
+    StripeEndpoint endpoint(world.sim, world.host(2).ports);
+    rms::Port inbox;
+    world.host(2).ports.bind(kStripeTarget, &inbox);
+
+    auto stripe = make_stripe(world);
+    ASSERT_NE(stripe, nullptr);
+    ASSERT_EQ(stripe->subpaths(), 2u);
+
+    constexpr int kMessages = 500;
+    StripedStream* raw = stripe.get();
+    for (int i = 0; i < kMessages; ++i) {
+      world.sim.at(sec(1) + msec(2) * i, [raw, i] { (void)raw->send(numbered(i)); });
+    }
+    world.sim.run_until(sec(8));
+
+    const std::vector<int> got = collect_ints(inbox);
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(kMessages));
+    for (int i = 0; i < kMessages; ++i) ASSERT_EQ(got[i], i) << "at " << i;
+    EXPECT_EQ(stripe->live_subpaths(), 2u);
+    EXPECT_EQ(stripe->stats().subpath_deaths, 0u);
+    EXPECT_EQ(stripe->stats().retransmits, 0u);
+    EXPECT_EQ(endpoint.stats().duplicates, 0u);
+    const double rtt = 2.0 * static_cast<double>(one_way);
+    EXPECT_NEAR(stripe->subpath_rtt_ns(1), rtt, 0.25 * rtt);
+  }
 }
 
 TEST(Stripe, SubpathDeathDegradesBandwidthNotDelivery) {
