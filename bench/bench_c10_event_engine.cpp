@@ -14,8 +14,7 @@
 //     Reports allocations/round and the peak pending-set size; with real
 //     cancellation the cancelled timers leave pending() immediately.
 //
-// Both workloads run under the calendar-queue engine and the reference
-// binary-heap engine; numbers are written to BENCH_c10_event_engine.json.
+// Numbers are written to BENCH_c10_event_engine.json.
 //
 // CLI (bench_util.h BaselineGate; the CI gate uses --check):
 //   --write-baseline <path>   write current numbers as the new baseline
@@ -80,8 +79,8 @@ struct CascadeResult {
   std::uint64_t heap_tasks;
 };
 
-CascadeResult run_cascade(sim::EngineMode mode) {
-  sim::Simulator sim(mode);
+CascadeResult run_cascade() {
+  sim::Simulator sim;
   std::size_t done = 0;
   std::vector<Chain> chains;
   chains.reserve(kCascadeChains);
@@ -136,8 +135,8 @@ struct ChurnResult {
   std::uint64_t timers_cancelled;
 };
 
-ChurnResult run_churn(sim::EngineMode mode) {
-  sim::Simulator sim(mode);
+ChurnResult run_churn() {
+  sim::Simulator sim;
   std::size_t replies = 0;
   std::size_t rounds_left = kChurnRounds;
   std::vector<Call> calls;
@@ -164,10 +163,6 @@ ChurnResult run_churn(sim::EngineMode mode) {
   return r;
 }
 
-const char* mode_name(sim::EngineMode m) {
-  return m == sim::EngineMode::kCalendar ? "calendar" : "heap";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -183,39 +178,31 @@ int main(int argc, char** argv) {
   title("C10", "event-engine scheduling cost (inline tasks + cancellable timers)");
 
   BenchJson json("c10_event_engine");
-  std::map<std::string, double> current;
 
-  for (sim::EngineMode mode :
-       {sim::EngineMode::kCalendar, sim::EngineMode::kHeap}) {
-    const CascadeResult c = run_cascade(mode);
-    const ChurnResult h = run_churn(mode);
-    std::printf(
-        "%-8s cascade: %7.0f kev/s  %.3f allocs/event  (%llu inline, %llu heap "
-        "tasks)\n",
-        mode_name(mode), c.events_per_sec / 1e3, c.allocs_per_event,
-        static_cast<unsigned long long>(c.inline_tasks),
-        static_cast<unsigned long long>(c.heap_tasks));
-    std::printf(
-        "%-8s churn:   %7.0f krd/s  %.3f allocs/round  peak pending %zu  "
-        "(%llu timers cancelled)\n",
-        mode_name(mode), h.rounds_per_sec / 1e3, h.allocs_per_round,
-        h.peak_pending, static_cast<unsigned long long>(h.timers_cancelled));
+  const CascadeResult c = run_cascade();
+  const ChurnResult h = run_churn();
+  std::printf(
+      "cascade: %7.0f kev/s  %.3f allocs/event  (%llu inline, %llu heap "
+      "tasks)\n",
+      c.events_per_sec / 1e3, c.allocs_per_event,
+      static_cast<unsigned long long>(c.inline_tasks),
+      static_cast<unsigned long long>(c.heap_tasks));
+  std::printf(
+      "churn:   %7.0f krd/s  %.3f allocs/round  peak pending %zu  "
+      "(%llu timers cancelled)\n",
+      h.rounds_per_sec / 1e3, h.allocs_per_round, h.peak_pending,
+      static_cast<unsigned long long>(h.timers_cancelled));
 
-    const std::string m = mode_name(mode);
-    json.record("cascade_events_per_sec", c.events_per_sec, "events/s",
-                {{"engine", m}});
-    json.record("cascade_allocs_per_event", c.allocs_per_event, "allocs/event",
-                {{"engine", m}});
-    json.record("churn_allocs_per_round", h.allocs_per_round, "allocs/round",
-                {{"engine", m}});
-    json.record("churn_peak_pending", static_cast<double>(h.peak_pending),
-                "events", {{"engine", m}});
-    if (mode == sim::EngineMode::kCalendar) {
-      current["cascade_allocs_per_event"] = c.allocs_per_event;
-      current["churn_allocs_per_round"] = h.allocs_per_round;
-      current["churn_peak_pending"] = static_cast<double>(h.peak_pending);
-    }
-  }
+  json.record("cascade_events_per_sec", c.events_per_sec, "events/s");
+  json.record("cascade_allocs_per_event", c.allocs_per_event, "allocs/event");
+  json.record("churn_allocs_per_round", h.allocs_per_round, "allocs/round");
+  json.record("churn_peak_pending", static_cast<double>(h.peak_pending),
+              "events");
+  const std::map<std::string, double> current = {
+      {"cascade_allocs_per_event", c.allocs_per_event},
+      {"churn_allocs_per_round", h.allocs_per_round},
+      {"churn_peak_pending", static_cast<double>(h.peak_pending)},
+  };
 
   const auto pre = read_baseline("bench/baselines/c10_prerefactor.txt");
   if (!pre.empty()) {

@@ -13,7 +13,6 @@
 #include "rkom/rkom.h"
 #include "rms/rms.h"
 #include "sim/cpu_scheduler.h"
-#include "sim/parallel.h"
 #include "sim/simulator.h"
 #include "st/st.h"
 
@@ -41,14 +40,6 @@ class DashNode {
     if (config_.path.enabled) {
       path_ = std::make_unique<path::PathManager>(sim, *st_, ports_, config_.path);
     }
-  }
-
-  /// Sharded-run variant: builds the node inside `ctx`'s shard. The whole
-  /// stack runs on that shard's engine; only the shard affinity is
-  /// recorded beyond what the Simulator& overload does.
-  DashNode(sim::ShardContext& ctx, HostId id, NodeConfig config = {})
-      : DashNode(ctx.sim(), id, config) {
-    shard_ = ctx.shard();
   }
 
   DashNode(const DashNode&) = delete;
@@ -90,13 +81,9 @@ class DashNode {
   /// The path manager; nullptr when NodeConfig::path.enabled is false.
   path::PathManager* path() { return path_.get(); }
 
-  /// Which shard this node lives on (0 in single-engine runs).
-  sim::ShardId shard() const { return shard_; }
-
  private:
   sim::Simulator& sim_;
   HostId id_;
-  sim::ShardId shard_ = 0;
   NodeConfig config_;
   rms::PortRegistry ports_;
   std::unique_ptr<sim::CpuScheduler> cpu_;

@@ -6,20 +6,17 @@
 // makes every run bit-for-bit reproducible.
 //
 // The engine executes events in exact (time, seq) order — seq is a monotone
-// schedule counter, so equal timestamps run FIFO — via one of two
-// interchangeable ready structures:
-//
-//   * kCalendar (default): a 512-bucket timer wheel over the near future
-//     (8.2 us buckets, ~4.2 ms window) with a binary-heap overflow tier for
-//     everything beyond the window. Buckets collect entries unsorted and are
-//     sorted once, when the wheel reaches them; because bucket index is
-//     time >> shift (monotone in time) and overflow entries are strictly
-//     beyond every wheel entry, draining buckets in order and each bucket in
-//     (time, seq) order yields exactly the global (time, seq) order.
-//     Schedule/pop are amortized O(1) for the dominant near-future workload.
-//   * kHeap: the reference binary heap over the same Entry type. It exists
-//     to prove determinism: tests run identical seeded workloads under both
-//     modes and require identical traces.
+// schedule counter, so equal timestamps run FIFO. The ready structure is a
+// calendar queue: a 512-bucket timer wheel over the near future (8.2 us
+// buckets, ~4.2 ms window) with a binary-heap overflow tier for everything
+// beyond the window. Buckets collect entries unsorted and are sorted once,
+// when the wheel reaches them; because bucket index is time >> shift
+// (monotone in time) and overflow entries are strictly beyond every wheel
+// entry, draining buckets in order and each bucket in (time, seq) order
+// yields exactly the global (time, seq) order. Schedule/pop are amortized
+// O(1) for the dominant near-future workload. tests/test_sim.cpp replays
+// seeded workloads against a plain binary-heap oracle over the same
+// (time, seq) order and requires identical traces.
 //
 // Timers (timer_at/timer_after) return a TimerHandle for O(1) cancellation.
 // The timer's closure lives in a generation-checked slot; cancel() bumps the
@@ -42,16 +39,6 @@
 namespace dash::sim {
 
 using dash::Time;
-
-/// Index of one shard of a ShardedSimulator (sim/parallel.h). Plain
-/// single-engine code never touches it; it lives here so lower layers can
-/// declare shard affinity without depending on the parallel core.
-using ShardId = std::uint32_t;
-
-/// Which ready structure the Simulator uses. Both execute events in
-/// identical (time, seq) order; kHeap is the reference path kept for
-/// determinism cross-checks.
-enum class EngineMode : std::uint8_t { kCalendar, kHeap };
 
 /// Engine-level counters, exported to telemetry (see telemetry/collect.h).
 struct EngineStats {
@@ -85,13 +72,12 @@ class TimerHandle {
 /// component that needs the clock or timers.
 class Simulator {
  public:
-  explicit Simulator(EngineMode mode = EngineMode::kCalendar) : mode_(mode) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   /// Current simulated time.
   Time now() const { return now_; }
-  EngineMode mode() const { return mode_; }
 
   /// Schedules `fn` at absolute time `t` (>= now).
   void at(Time t, Task fn) {
@@ -193,8 +179,7 @@ class Simulator {
 
   /// Timestamp of the earliest live pending event, or kTimeNever when the
   /// simulator is idle. May purge tombstones of cancelled timers (the
-  /// answer is authoritative); the ShardedSimulator's lookahead window is
-  /// computed from this.
+  /// answer is authoritative); rt::Driver sleeps until this time.
   Time next_event_time() {
     Entry* e = peek();
     return e == nullptr ? kTimeNever : e->time;
@@ -299,11 +284,6 @@ class Simulator {
   }
 
   void admit(Entry&& e) {
-    if (mode_ == EngineMode::kHeap) {
-      heap_.push_back(std::move(e));
-      std::push_heap(heap_.begin(), heap_.end(), entry_after);
-      return;
-    }
     Time ab = bucket_of(e.time);
     // The window start can outrun the clock when peek() advanced the wheel
     // without executing yet (run_until boundary probes, empty-wheel jumps).
@@ -351,14 +331,6 @@ class Simulator {
   /// tombstone it touches, so the returned entry's time is authoritative
   /// (run_until's boundary check relies on this).
   Entry* peek() {
-    if (mode_ == EngineMode::kHeap) {
-      while (!heap_.empty() && is_stale(heap_.front())) {
-        std::pop_heap(heap_.begin(), heap_.end(), entry_after);
-        heap_.pop_back();
-        --stored_;
-      }
-      return heap_.empty() ? nullptr : &heap_.front();
-    }
     for (;;) {
       if (cur_open_) {
         auto& b = buckets_[cur_slot_];
@@ -406,15 +378,9 @@ class Simulator {
   /// non-null peek(), before any callback runs.
   void drop_front() {
     --stored_;
-    if (mode_ == EngineMode::kHeap) {
-      std::pop_heap(heap_.begin(), heap_.end(), entry_after);
-      heap_.pop_back();
-      return;
-    }
     ++pos_;
   }
 
-  EngineMode mode_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;    // live pending events
@@ -425,7 +391,7 @@ class Simulator {
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
 
-  // kCalendar state. Window covers absolute buckets
+  // Calendar state. Window covers absolute buckets
   // [cur_bucket_, cur_bucket_ + kBuckets); everything later overflows.
   std::array<std::vector<Entry>, kBuckets> buckets_;
   std::array<std::uint64_t, kWords> bitmap_{};
@@ -434,9 +400,6 @@ class Simulator {
   int cur_slot_ = 0;       // cur_bucket_ & (kBuckets - 1)
   std::size_t pos_ = 0;    // drain position within the open bucket
   bool cur_open_ = false;  // current bucket sorted and being drained
-
-  // kHeap state.
-  std::vector<Entry> heap_;
 };
 
 }  // namespace dash::sim

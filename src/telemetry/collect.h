@@ -15,7 +15,6 @@
 #include "fault/fault.h"
 #include "net/ethernet.h"
 #include "sim/cpu_scheduler.h"
-#include "sim/parallel.h"
 #include "sim/simulator.h"
 #include "net/internet.h"
 #include "net/network.h"
@@ -120,11 +119,5 @@ void collect_sim(MetricsRegistry& m, const sim::Simulator& sim,
 /// outgrew CpuScheduler::Task's inline storage) and cpu_busy_ns.
 void collect_cpu(MetricsRegistry& m, const sim::CpuScheduler& cpu,
                  const std::string& prefix);
-
-/// Sharded-core counters under "sim.shard.*" (DESIGN.md §14): shard count,
-/// lookahead horizon, windows/drains/exchanged/late, each shard's engine
-/// under "sim.shard<s>.*", and the aggregate under "sim.total.*".
-/// Quiescent-only, like every collector.
-void collect_sharded(MetricsRegistry& m, const sim::ShardedSimulator& ssim);
 
 }  // namespace dash::telemetry

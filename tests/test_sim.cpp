@@ -2,11 +2,13 @@
 // scheduler (paper §4.1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
+#include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "sim/cpu_scheduler.h"
 #include "sim/simulator.h"
@@ -149,18 +151,16 @@ TEST(Task, InvokesMovedClosureExactlyOnce) {
 // ------------------------------------------------------------ timers
 
 TEST(Timers, CancelRemovesFromPendingImmediately) {
-  for (EngineMode mode : {EngineMode::kCalendar, EngineMode::kHeap}) {
-    Simulator s(mode);
-    bool fired = false;
-    TimerHandle h = s.timer_after(msec(5), [&] { fired = true; });
-    EXPECT_EQ(s.pending(), 1u);
-    EXPECT_TRUE(s.timer_active(h));
-    EXPECT_TRUE(s.cancel(h));
-    EXPECT_EQ(s.pending(), 0u) << "cancelled timer must leave pending() now";
-    s.run();
-    EXPECT_FALSE(fired);
-    EXPECT_EQ(s.stored(), 0u);  // tombstone swept by run()
-  }
+  Simulator s;
+  bool fired = false;
+  TimerHandle h = s.timer_after(msec(5), [&] { fired = true; });
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_TRUE(s.timer_active(h));
+  EXPECT_TRUE(s.cancel(h));
+  EXPECT_EQ(s.pending(), 0u) << "cancelled timer must leave pending() now";
+  s.run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(s.stored(), 0u);  // tombstone swept by run()
 }
 
 TEST(Timers, CancelDestroysClosureAtCancelTime) {
@@ -213,46 +213,42 @@ TEST(Timers, SlotReuseDoesNotResurrectOldHandles) {
 TEST(Timers, RetransmitShapeLeavesNoResidue) {
   // The ST/RKOM control shape: arm a retransmit timer, reply lands first
   // and cancels it. After many rounds nothing must accumulate.
-  for (EngineMode mode : {EngineMode::kCalendar, EngineMode::kHeap}) {
-    Simulator s(mode);
-    int replies = 0;
-    for (int i = 0; i < 1000; ++i) {
-      auto h = std::make_shared<TimerHandle>();
-      *h = s.timer_after(msec(100), [] { FAIL() << "retransmit fired"; });
-      s.after(usec(50) * (i + 1), [&s, &replies, h] {
-        s.cancel(*h);
-        ++replies;
-      });
-    }
-    s.run();
-    EXPECT_EQ(replies, 1000);
-    EXPECT_EQ(s.pending(), 0u);
-    EXPECT_EQ(s.stored(), 0u);
-    EXPECT_EQ(s.stats().timers_cancelled, 1000u);
+  Simulator s;
+  int replies = 0;
+  for (int i = 0; i < 1000; ++i) {
+    auto h = std::make_shared<TimerHandle>();
+    *h = s.timer_after(msec(100), [] { FAIL() << "retransmit fired"; });
+    s.after(usec(50) * (i + 1), [&s, &replies, h] {
+      s.cancel(*h);
+      ++replies;
+    });
   }
+  s.run();
+  EXPECT_EQ(replies, 1000);
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(s.stored(), 0u);
+  EXPECT_EQ(s.stats().timers_cancelled, 1000u);
 }
 
 TEST(Timers, RunUntilBoundaryIgnoresCancelledEntryAtBoundary) {
-  for (EngineMode mode : {EngineMode::kCalendar, EngineMode::kHeap}) {
-    Simulator s(mode);
-    int fired = 0;
-    TimerHandle h = s.timer_at(msec(10), [&] { ++fired; });
-    s.at(msec(20), [&] { ++fired; });
-    s.cancel(h);
-    // The earliest *live* event is at 20 ms; the cancelled entry's 10 ms
-    // tombstone must not stop the boundary check.
-    s.run_until(msec(15));
-    EXPECT_EQ(fired, 0);
-    EXPECT_EQ(s.now(), msec(15));
-    s.run_until(msec(25));
-    EXPECT_EQ(fired, 1);
-  }
+  Simulator s;
+  int fired = 0;
+  TimerHandle h = s.timer_at(msec(10), [&] { ++fired; });
+  s.at(msec(20), [&] { ++fired; });
+  s.cancel(h);
+  // The earliest *live* event is at 20 ms; the cancelled entry's 10 ms
+  // tombstone must not stop the boundary check.
+  s.run_until(msec(15));
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(s.now(), msec(15));
+  s.run_until(msec(25));
+  EXPECT_EQ(fired, 1);
 }
 
 // --------------------------------------------------- calendar engine
 
 TEST(CalendarEngine, FarFutureEventsUseOverflowAndStillOrder) {
-  Simulator s;  // default kCalendar
+  Simulator s;
   std::vector<int> order;
   s.at(sec(30), [&] { order.push_back(3); });   // far beyond the window
   s.at(usec(1), [&] { order.push_back(1); });
@@ -295,20 +291,132 @@ TEST(CalendarEngine, SchedulingIntoTheOpenBucketKeepsOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-// Runs `scenario` under both engine modes and returns the two executed
-// (time, id) sequences for comparison: the calendar wheel is an
-// optimization, never a behaviour change.
+// ------------------------------------------------ heap reference oracle
+//
+// A plain binary heap over the same (time, seq) order as the Simulator,
+// with the part of its API the comparison scenarios use. seq counts every
+// at/timer call, so ties break exactly as they do in the calendar queue; a
+// cancelled timer stays in the heap and is skipped when it surfaces. The
+// calendar queue is an optimization, never a behaviour change: every
+// scenario below must execute identically on both.
+class HeapOracle {
+ public:
+  /// Cancellation ticket, in the role of sim::TimerHandle.
+  struct Handle {
+    std::uint64_t seq = kNoTimer;
+  };
+
+  Time now() const { return now_; }
+  /// Counts only `executed` and `timers_cancelled`.
+  const EngineStats& stats() const { return stats_; }
+
+  void at(Time t, Task fn) { push(t, std::move(fn), false); }
+  void after(Time delay, Task fn) { at(now_ + delay, std::move(fn)); }
+
+  Handle timer_at(Time t, Task fn) {
+    const std::uint64_t seq = push(t, std::move(fn), true);
+    live_timers_.insert(seq);
+    return Handle{seq};
+  }
+  Handle timer_after(Time delay, Task fn) {
+    return timer_at(now_ + delay, std::move(fn));
+  }
+
+  bool cancel(Handle& h) {
+    const bool live = live_timers_.erase(h.seq) > 0;
+    h = Handle();
+    if (live) ++stats_.timers_cancelled;
+    return live;
+  }
+
+  bool step() {
+    if (peek() == nullptr) return false;
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    Entry e = std::move(heap_.back());
+    heap_.pop_back();
+    if (e.timer) live_timers_.erase(e.seq);
+    now_ = e.time;
+    ++stats_.executed;
+    e.fn();
+    return true;
+  }
+
+  void run() {
+    while (step()) {
+    }
+  }
+
+  void run_until(Time t) {
+    for (const Entry* e = peek(); e != nullptr && e->time <= t; e = peek()) {
+      step();
+    }
+    if (now_ < t) now_ = t;
+  }
+
+ private:
+  static constexpr std::uint64_t kNoTimer = ~0ull;
+
+  struct Entry {
+    Time time = 0;
+    std::uint64_t seq = 0;
+    bool timer = false;
+    Task fn;
+  };
+
+  // std::push_heap builds a max-heap: "later" puts the earliest on top.
+  static bool later(const Entry& a, const Entry& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
+
+  std::uint64_t push(Time t, Task fn, bool timer) {
+    Entry e;
+    e.time = t < now_ ? now_ : t;
+    e.seq = next_seq_++;
+    e.timer = timer;
+    e.fn = std::move(fn);
+    heap_.push_back(std::move(e));
+    std::push_heap(heap_.begin(), heap_.end(), later);
+    return next_seq_ - 1;
+  }
+
+  /// Earliest live entry, after discarding cancelled timers on top.
+  const Entry* peek() {
+    while (!heap_.empty() && heap_.front().timer &&
+           !live_timers_.contains(heap_.front().seq)) {
+      std::pop_heap(heap_.begin(), heap_.end(), later);
+      heap_.pop_back();
+    }
+    return heap_.empty() ? nullptr : &heap_.front();
+  }
+
+  Time now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::vector<Entry> heap_;
+  std::unordered_set<std::uint64_t> live_timers_;
+  EngineStats stats_;
+};
+
+/// The timer handle type of an engine (Simulator or HeapOracle).
+template <typename Engine>
+using HandleOf = decltype(std::declval<Engine&>().timer_at(Time{}, Task()));
+
+// Runs `scenario` on the Simulator and on the heap oracle and returns the
+// two executed (time, id) sequences for comparison.
 using Executed = std::vector<std::pair<Time, int>>;
 template <typename Scenario>
 std::pair<Executed, Executed> run_both_engines(Scenario scenario) {
-  Executed results[2];
-  int i = 0;
-  for (EngineMode mode : {EngineMode::kCalendar, EngineMode::kHeap}) {
-    Simulator s(mode);
-    scenario(s, results[i]);
-    ++i;
+  Executed calendar;
+  Executed heap;
+  {
+    Simulator s;
+    scenario(s, calendar);
   }
-  return {results[0], results[1]};
+  {
+    HeapOracle s;
+    scenario(s, heap);
+  }
+  return {calendar, heap};
 }
 
 TEST(CalendarEngine, CancelAcrossWindowJumpMatchesHeap) {
@@ -316,13 +424,14 @@ TEST(CalendarEngine, CancelAcrossWindowJumpMatchesHeap) {
   // cancelling it *after* the wheel has jumped windows (and possibly
   // refilled the slot) must still suppress it, leaving a tombstone that
   // the sweep skips without disturbing its neighbours.
-  auto [cal, heap] = run_both_engines([](Simulator& s, Executed& out) {
+  auto [cal, heap] = run_both_engines([](auto& s, Executed& out) {
     auto record = [&](int id) {
       return [&s, &out, id] { out.emplace_back(s.now(), id); };
     };
-    TimerHandle doomed = s.timer_at(msec(50), record(99));
+    auto doomed = s.timer_at(msec(50), record(99));
     s.at(msec(49), record(1));
     s.at(msec(50), record(2));  // same instant as the doomed timer
+    s.at(msec(50), record(5));  // ...and as record(2): runs after it
     s.at(msec(51), record(3));
     s.run_until(msec(20));  // jump several 4.2ms windows forward
     EXPECT_TRUE(s.cancel(doomed));
@@ -330,7 +439,7 @@ TEST(CalendarEngine, CancelAcrossWindowJumpMatchesHeap) {
     s.run();
   });
   EXPECT_EQ(cal, heap);
-  ASSERT_EQ(cal.size(), 4u);
+  ASSERT_EQ(cal.size(), 5u);
   for (const auto& [t, id] : cal) EXPECT_NE(id, 99);
 }
 
@@ -339,31 +448,34 @@ TEST(CalendarEngine, RunUntilExactlyOnBucketBoundaryMatchesHeap) {
   // landing exactly on the boundary must run the boundary event and leave
   // the next bucket's strictly-later events pending.
   const Time boundary = Time{1} << 13;
-  auto [cal, heap] = run_both_engines([&](Simulator& s, Executed& out) {
+  auto [cal, heap] = run_both_engines([&](auto& s, Executed& out) {
     auto record = [&](int id) {
       return [&s, &out, id] { out.emplace_back(s.now(), id); };
     };
     s.at(boundary - 1, record(1));
     s.at(boundary, record(2));
     s.at(boundary + 1, record(3));
+    s.at(boundary, record(4));
     s.run_until(boundary);
     EXPECT_EQ(s.now(), boundary);
-    EXPECT_EQ(out.size(), 2u);  // events <= t ran, boundary+1 did not
+    EXPECT_EQ(out.size(), 3u);  // events <= t ran, boundary+1 did not
     s.run();
   });
   EXPECT_EQ(cal, heap);
-  ASSERT_EQ(cal.size(), 3u);
+  ASSERT_EQ(cal.size(), 4u);
   EXPECT_EQ(cal[1], (std::pair<Time, int>{boundary, 2}));
+  EXPECT_EQ(cal[2], (std::pair<Time, int>{boundary, 4}));
 }
 
 TEST(CalendarEngine, OverflowRefillSkipsTombstonesMatchesHeap) {
-  // Many timers far past the window, every other one cancelled while
-  // still in the overflow tier: each window refill must carry the
-  // tombstones along (or purge them) without reordering the survivors.
-  auto [cal, heap] = run_both_engines([](Simulator& s, Executed& out) {
-    std::vector<TimerHandle> handles;
+  // Many timers far past the window, four per instant, every other one
+  // cancelled while still in the overflow tier: each window refill must
+  // carry the tombstones along (or purge them) without reordering the
+  // survivors, including the two that share each instant.
+  auto [cal, heap] = run_both_engines([](auto& s, Executed& out) {
+    std::vector<HandleOf<decltype(s)>> handles;
     for (int i = 0; i < 64; ++i) {
-      const Time t = msec(10) + static_cast<Time>(i) * msec(1);  // spans many windows
+      const Time t = msec(10) + static_cast<Time>(i / 4) * msec(4);  // spans many windows
       const int id = i;
       handles.push_back(s.timer_at(t, [&s, &out, id] {
         out.emplace_back(s.now(), id);
@@ -382,19 +494,17 @@ TEST(CalendarEngine, OverflowRefillSkipsTombstonesMatchesHeap) {
 }
 
 TEST(Simulator, RunForIsRelativeToCurrentClock) {
-  for (EngineMode mode : {EngineMode::kCalendar, EngineMode::kHeap}) {
-    Simulator s(mode);
-    int hits = 0;
-    s.at(msec(3), [&] { ++hits; });
-    s.at(msec(7), [&] { ++hits; });
-    s.run_until(msec(2));
-    s.run_for(msec(2));  // now = 4ms: first event ran
-    EXPECT_EQ(s.now(), msec(4));
-    EXPECT_EQ(hits, 1);
-    s.run_for(msec(3));  // now = 7ms: boundary-inclusive like run_until
-    EXPECT_EQ(s.now(), msec(7));
-    EXPECT_EQ(hits, 2);
-  }
+  Simulator s;
+  int hits = 0;
+  s.at(msec(3), [&] { ++hits; });
+  s.at(msec(7), [&] { ++hits; });
+  s.run_until(msec(2));
+  s.run_for(msec(2));  // now = 4ms: first event ran
+  EXPECT_EQ(s.now(), msec(4));
+  EXPECT_EQ(hits, 1);
+  s.run_for(msec(3));  // now = 7ms: boundary-inclusive like run_until
+  EXPECT_EQ(s.now(), msec(7));
+  EXPECT_EQ(hits, 2);
 }
 
 TEST(CalendarEngine, StatsCountInlineVsHeapTasks) {
@@ -415,8 +525,8 @@ TEST(CalendarEngine, StatsCountInlineVsHeapTasks) {
 
 // ------------------------------------------------------ determinism
 //
-// The calendar queue exists for speed; kHeap exists to prove it changes
-// nothing. A seeded workload shaped like the repo's benches (c2-like
+// The calendar queue exists for speed; the heap oracle exists to prove it
+// changes nothing. A seeded workload shaped like the repo's benches (c2-like
 // paced sources + c8-like request/reply timer churn) must produce a
 // bit-identical event trace under both ready structures.
 
@@ -429,13 +539,14 @@ std::uint64_t mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+template <typename Engine>
 struct Actor {
-  Simulator* sim;
+  Engine* sim;
   Trace* trace;
   std::uint64_t id;
   std::uint64_t seq = 0;
   std::size_t budget;
-  TimerHandle retry;
+  HandleOf<Engine> retry;
 
   void fire() {
     trace->record(sim->now(), "actor", std::to_string(id) + ":" +
@@ -446,9 +557,13 @@ struct Actor {
     }
     const std::uint64_t r = mix(id * 0x51ed2701u + seq);
     // Paced-source shape: reschedule at a pseudo-random near delay; every
-    // fourth step jumps far enough to land in the overflow tier.
-    const Time delta = (r % 4 == 0) ? msec(20) + static_cast<Time>(r % msec(5))
-                                    : static_cast<Time>(r % usec(200));
+    // fourth step jumps far enough to land in the overflow tier, and every
+    // fourth waits for the next 50 us tick shared by all actors, so
+    // different actors often fire at the same instant and their FIFO order
+    // shows in the trace.
+    Time delta = static_cast<Time>(r % usec(200));
+    if (r % 4 == 0) delta = msec(20) + static_cast<Time>(r % msec(5));
+    if (r % 4 == 1) delta = usec(50) - sim->now() % usec(50);
     sim->after(delta, [this] { fire(); });
     // Request/reply shape: re-arm the retransmit timer; cancel and replace
     // it on a schedule so slots recycle differently over the run.
@@ -470,14 +585,14 @@ struct RunResult {
   std::uint64_t cancelled;
 };
 
-RunResult run(EngineMode mode, std::uint64_t seed, int actors,
-              std::size_t budget) {
-  Simulator sim(mode);
+template <typename Engine>
+RunResult run(std::uint64_t seed, int actors, std::size_t budget) {
+  Engine sim;
   Trace trace(1u << 20);
-  std::vector<Actor> v;
+  std::vector<Actor<Engine>> v;
   v.reserve(static_cast<std::size_t>(actors));
   for (int i = 0; i < actors; ++i) {
-    v.push_back(Actor{&sim, &trace, seed + static_cast<std::uint64_t>(i), 0,
+    v.push_back(Actor<Engine>{&sim, &trace, seed + static_cast<std::uint64_t>(i), 0,
                       budget, {}});
   }
   for (auto& a : v) {
@@ -496,12 +611,10 @@ RunResult run(EngineMode mode, std::uint64_t seed, int actors,
 
 TEST(Determinism, CalendarAndHeapProduceIdenticalTraces) {
   for (std::uint64_t seed : {11ull, 17ull, 99ull}) {
-    const auto cal =
-        determinism::run(EngineMode::kCalendar, seed, /*actors=*/16,
-                         /*budget=*/400);
-    const auto heap =
-        determinism::run(EngineMode::kHeap, seed, /*actors=*/16,
-                         /*budget=*/400);
+    const auto cal = determinism::run<Simulator>(seed, /*actors=*/16,
+                                                 /*budget=*/400);
+    const auto heap = determinism::run<HeapOracle>(seed, /*actors=*/16,
+                                                   /*budget=*/400);
     EXPECT_EQ(cal.final_now, heap.final_now) << "seed " << seed;
     EXPECT_EQ(cal.executed, heap.executed) << "seed " << seed;
     EXPECT_EQ(cal.cancelled, heap.cancelled) << "seed " << seed;
@@ -510,8 +623,8 @@ TEST(Determinism, CalendarAndHeapProduceIdenticalTraces) {
 }
 
 TEST(Determinism, RepeatRunsAreBitIdentical) {
-  const auto a = determinism::run(EngineMode::kCalendar, 7, 8, 200);
-  const auto b = determinism::run(EngineMode::kCalendar, 7, 8, 200);
+  const auto a = determinism::run<Simulator>(7, 8, 200);
+  const auto b = determinism::run<Simulator>(7, 8, 200);
   EXPECT_EQ(a.trace_text, b.trace_text);
   EXPECT_EQ(a.executed, b.executed);
 }
