@@ -16,17 +16,22 @@
 // socket's backlog and schedules a zero-delay flush task, so every send
 // in one event batch coalesces into one sendmmsg. EAGAIN parks the
 // backlog on EPOLLOUT. Receive drains with recvmmsg in bounded rounds
-// per readiness wakeup. A FaultHook interposes on delivery exactly as
-// on the simulated media (verdict delays/duplicates ride the simulator
-// queue, which the driver runs in wall time).
+// per readiness wakeup. The receive slots and both directions' mmsghdr /
+// iovec arrays are allocated once per network, so a wakeup allocates only
+// the one exact-size block each received datagram is copied into. A
+// FaultHook interposes on delivery exactly as on the simulated media
+// (verdict delays/duplicates ride the simulator queue, which the driver
+// runs in wall time).
 #pragma once
 
 #include <netinet/in.h>
+#include <sys/socket.h>
 
 #include <cstdint>
 #include <deque>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "net/network.h"
 #include "net/udp/wire.h"
@@ -130,6 +135,15 @@ class UdpNetwork final : public Network {
   UdpConfig cfg_;
   std::unordered_map<HostId, Endpoint> endpoints_;
   UdpStats ustats_;
+  // Syscall scratch, cfg_.batch entries each. Owned by the network rather
+  // than an Endpoint, so a detach made from inside a delivery cannot free
+  // the arrays on_readable is still walking. Neither flush nor on_readable
+  // re-enters itself.
+  std::vector<std::byte> recv_slots_;  ///< batch × datagram_buffer bytes
+  std::vector<iovec> recv_iovs_;
+  std::vector<mmsghdr> recv_msgs_;
+  std::vector<iovec> send_iovs_;
+  std::vector<mmsghdr> send_msgs_;
 };
 
 }  // namespace dash::net

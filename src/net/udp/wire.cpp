@@ -65,7 +65,7 @@ DecodeError decode(BytesView datagram, Packet& out) {
       datagram.subspan(0, kChecksumOffset), datagram.subspan(kHeaderBytes)};
   if (crc32(ViewChain(chain)) != wire_crc) return DecodeError::kBadChecksum;
   out.corrupted = (flags & kFlagCorrupted) != 0;
-  out.payload = Buffer(Bytes(datagram.begin() + kHeaderBytes, datagram.end()));
+  out.payload = Buffer(datagram.subspan(kHeaderBytes));  // one exact-size block
   return DecodeError::kNone;
 }
 

@@ -268,8 +268,9 @@ void NetRmsFabric::send_now(Stream& s, rms::Message msg, Time deadline) {
 
         // Header in a fixed stack buffer, prepended to the payload: when
         // the client reserved send_headroom() in its buffer (the ST arena
-        // does), the header lands in the reserved gap and the payload is
-        // never copied; otherwise prepend() pays the one gather copy.
+        // and every per-message encoder do), the header lands in the
+        // reserved gap and the payload is never copied; otherwise
+        // prepend() pays the one gather copy.
         std::array<std::byte, kHeaderBytes> header;
         std::size_t at = 0;
         auto put = [&header, &at](std::uint64_t v, int width) {

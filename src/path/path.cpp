@@ -174,15 +174,15 @@ void PathManager::send_probe(HostId peer, std::size_t fabric_idx) {
   rms::Rms* ch = ensure_probe_channel(h, peer, fabric_idx);
   if (ch == nullptr) return;
 
-  Bytes payload;
-  Writer w(payload);
+  const BytesView name = name_view(fabrics_[fabric_idx]->traits().name);
+  BufferWriter w(kProbeBytes + name.size(), ch->send_headroom());
   w.u8(static_cast<std::uint8_t>(ProbeType::kPing));
   w.u64(h.next_seq);
   w.i64(sim_.now());
-  w.sized_bytes(name_view(fabrics_[fabric_idx]->traits().name));
+  w.sized_bytes(name);
 
   rms::Message m;
-  m.data = std::move(payload);
+  m.data = w.finish();
   m.target = rms::Label{peer, kPathPort};
   m.source = rms::Label{host_, kPathPort};
   h.outstanding_seq = h.next_seq++;
@@ -209,14 +209,14 @@ void PathManager::on_probe_message(rms::Message msg) {
       h.last_inbound = sim_.now();
       rms::Rms* ch = ensure_probe_channel(h, src, idx);
       if (ch == nullptr) return;
-      Bytes reply;
-      Writer w(reply);
+      const BytesView name = name_view(fabrics_[idx]->traits().name);
+      BufferWriter w(kProbeBytes + name.size(), ch->send_headroom());
       w.u8(static_cast<std::uint8_t>(ProbeType::kPong));
       w.u64(*seq);
       w.i64(*t_sent);  // echoed so the pinger computes RTT statelessly
-      w.sized_bytes(name_view(fabrics_[idx]->traits().name));
+      w.sized_bytes(name);
       rms::Message m;
-      m.data = std::move(reply);
+      m.data = w.finish();
       m.target = rms::Label{src, kPathPort};
       m.source = rms::Label{host_, kPathPort};
       ++stats_.pongs_sent;

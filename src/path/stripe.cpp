@@ -177,9 +177,7 @@ Status StripedStream::do_send(rms::Message msg, Time transmission_deadline) {
 
 Status StripedStream::dispatch(std::uint64_t seq, Unacked& u, std::size_t subpath) {
   Subpath& sp = subpaths_[subpath];
-  Bytes wire;
-  wire.reserve(kStripeHeaderBytes + u.payload.size());
-  Writer w(wire);
+  BufferWriter w(kStripeHeaderBytes + u.payload.size(), sp.st_rms->send_headroom());
   w.u64(stripe_id_);
   w.u64(seq);
   w.u64(target_.port);
@@ -187,7 +185,7 @@ Status StripedStream::dispatch(std::uint64_t seq, Unacked& u, std::size_t subpat
   w.bytes(u.payload.view());
 
   rms::Message m;
-  m.data = std::move(wire);
+  m.data = w.finish();
   const Status s = sp.st_rms->send_acked(std::move(m), seq);
   u.subpath = subpath;
   u.sent_at = sim_.now();

@@ -28,6 +28,9 @@ enum class ProbeType : std::uint8_t {
   kPong = 2,
 };
 
+/// Fixed part of a ping or pong: type, seq, t_sent and the name's length.
+inline constexpr std::size_t kProbeBytes = 1 + 8 + 8 + 4;
+
 /// The network RMS request used for probe channels: tiny, best-effort,
 /// tolerant of everything. A probe channel must be creatable on any
 /// network that can carry data at all — admission must never reject it —

@@ -31,15 +31,16 @@ rms::Request rkom_stream_request(Time delay_a) {
   return rms::Request{desired, acceptable};
 }
 
-Bytes make_request_wire(std::uint8_t type, std::uint64_t call_id, std::uint64_t op,
-                        BytesView args) {
-  Bytes wire;
-  Writer w(wire);
+/// Encodes a request with the sending RMS's `headroom` reserved, so its
+/// header can be written in place.
+Buffer make_request_wire(std::uint8_t type, std::uint64_t call_id, std::uint64_t op,
+                         BytesView args, std::size_t headroom) {
+  BufferWriter w(1 + 8 + 8 + args.size(), headroom);
   w.u8(type);
   w.u64(call_id);
   w.u64(op);
   w.bytes(args);
-  return wire;
+  return w.finish();
 }
 
 }  // namespace
@@ -112,16 +113,18 @@ void RkomNode::call(HostId peer, std::uint64_t op, Bytes args,
   const std::uint64_t call_id = next_call_++;
   ++stats_.calls;
 
+  rms::Message m;
+  m.data = make_request_wire(kRequest, call_id, op, args, ch.low->send_headroom());
+
   PendingCall pending;
   pending.peer = peer;
-  pending.request_wire = make_request_wire(kRequest, call_id, op, args);
+  // Without the headroom: only the initial send may write a header into it.
+  pending.request_wire = m.data.slice(0, m.data.size());
   pending.cb = std::move(cb);
   pending.retries_left = config_.max_retries;
   pending.started = sim_.now();
   pending_[call_id] = std::move(pending);
 
-  rms::Message m;
-  m.data = pending_[call_id].request_wire;
   (void)ch.low->send(std::move(m));  // initial request: low-delay stream
   arm_retry(call_id);
 }
@@ -239,21 +242,20 @@ void RkomNode::finish_request(std::pair<HostId, std::uint64_t> key, bool is_retr
   auto rit = replies_.find(key);
   if (rit == replies_.end()) return;
   rit->second.executing = false;
-  rit->second.wire = [&] {
-    Bytes wire;
-    Writer w(wire);
-    w.u8(kReply);
-    w.u64(call_id);
-    w.bytes(result);
-    return wire;
-  }();
 
   Channel& ch = channel(client);
-  rms::Message m;
-  m.data = rit->second.wire;
   // Initial reply goes low-delay; a reply to a retry is itself a
   // retransmission and rides the high-delay stream.
   rms::Rms* stream = is_retry ? ch.high.get() : ch.low.get();
+  BufferWriter w(1 + 8 + result.size(), stream != nullptr ? stream->send_headroom() : 0);
+  w.u8(kReply);
+  w.u64(call_id);
+  w.bytes(result);
+  rms::Message m;
+  m.data = w.finish();
+  // The cache keeps the reply without the headroom: only this first send
+  // may write a header into it.
+  rit->second.wire = m.data.slice(0, m.data.size());
   if (stream != nullptr) (void)stream->send(std::move(m));
 
   // Evict the at-most-once state if no ack ever arrives.
@@ -279,12 +281,11 @@ void RkomNode::handle_reply(HostId server, std::uint64_t call_id, Bytes result) 
   // Acknowledge so the server can drop its cached reply (high-delay).
   Channel& ch = channel(server);
   if (ch.high != nullptr) {
-    Bytes wire;
-    Writer w(wire);
+    BufferWriter w(1 + 8, ch.high->send_headroom());
     w.u8(kReplyAck);
     w.u64(call_id);
     rms::Message m;
-    m.data = std::move(wire);
+    m.data = w.finish();
     ++stats_.acks_sent;
     (void)ch.high->send(std::move(m));
   }

@@ -31,6 +31,17 @@ std::uint64_t component_nonce(std::uint64_t st_id, std::uint64_t seq,
   return (st_id << 40) ^ (seq << 8) ^ frag_index;
 }
 
+/// Fixed part of kCreateRequest / kPrepareRequest: type, request id, ST id,
+/// port, security, and the length of the fabric name that follows.
+constexpr std::size_t kCreateRequestBytes = 1 + 8 + 8 + 8 + 1 + 4;
+
+/// Starts a `body_bytes` control message. Control channels are network
+/// RMSs, whose send_headroom() is netrms::kHeaderBytes: reserving it lets
+/// the network RMS write its header in place instead of copying.
+BufferWriter control_writer(std::size_t body_bytes) {
+  return BufferWriter(body_bytes, netrms::kHeaderBytes);
+}
+
 }  // namespace
 
 // ===================================================================== StRms
@@ -496,7 +507,7 @@ void SubtransportLayer::ensure_control_out(PeerState& ps) {
   ps.control_out = std::move(created).value();
 }
 
-void SubtransportLayer::send_control(PeerState& ps, Bytes payload) {
+void SubtransportLayer::send_control(PeerState& ps, Buffer payload) {
   if (ps.control_out != nullptr && ps.control_out->failed()) {
     // The network RMS under the control channel died (network failure or
     // partition). Drop it and re-create below: control traffic must not
@@ -526,7 +537,7 @@ netrms::NetRmsFabric* SubtransportLayer::fabric_named(BytesView name) const {
 }
 
 void SubtransportLayer::send_control_on(PeerState& ps, netrms::NetRmsFabric& fabric,
-                                        Bytes payload) {
+                                        Buffer payload) {
   // The main control channel already lives on the wanted fabric: use it.
   if (ps.fabric == &fabric && ps.control_out != nullptr &&
       !ps.control_out->failed()) {
@@ -555,7 +566,7 @@ void SubtransportLayer::send_control_on(PeerState& ps, netrms::NetRmsFabric& fab
   (void)ch->send(std::move(m));
 }
 
-void SubtransportLayer::send_request_with_retry(HostId peer, Bytes payload,
+void SubtransportLayer::send_request_with_retry(HostId peer, Buffer payload,
                                                 std::uint64_t req_id, int attempts) {
   auto pit = peers_.find(peer);
   if (pit == peers_.end()) return;
@@ -570,10 +581,14 @@ void SubtransportLayer::send_request_with_retry(HostId peer, Bytes payload,
   }
   if (attempts < config_.control_retries) ++stats_.control_retries;
   // Arm before sending (simulated time cannot advance in between): the
-  // iterator must not be used after send_control touches peer state.
+  // iterator must not be used after send_control touches peer state. Only
+  // this send may write the network RMS header into the payload's headroom;
+  // the retry keeps a view without it, so a copy still in flight keeps its
+  // header.
   pending->second.retry_timer = sim_.timer_after(
       config_.control_retry_timeout,
-      [this, peer, payload, req_id, attempts]() mutable {
+      [this, peer, payload = payload.slice(0, payload.size()), req_id,
+       attempts]() mutable {
         send_request_with_retry(peer, std::move(payload), req_id, attempts - 1);
       });
   send_control(ps, std::move(payload));
@@ -608,8 +623,7 @@ void SubtransportLayer::ensure_authenticated(PeerState& ps, std::function<void()
   ps.auth_nonce = (host_ << 32) ^ (ps.peer << 16) ^ req_id ^ 0xA5A5A5A5ull;
 
   const Key key = derive_pair_key(host_, ps.peer);
-  Bytes payload;
-  Writer w(payload);
+  BufferWriter w = control_writer(1 + 8 + 8 + 8);
   w.u8(static_cast<std::uint8_t>(ControlType::kAuthChallenge));
   w.u64(req_id);
   w.u64(ps.auth_nonce);
@@ -631,7 +645,7 @@ void SubtransportLayer::ensure_authenticated(PeerState& ps, std::function<void()
   };
 
   // Send with retransmission: the control channel may drop messages.
-  send_request_with_retry(ps.peer, std::move(payload), req_id, config_.control_retries);
+  send_request_with_retry(ps.peer, w.finish(), req_id, config_.control_retries);
 }
 
 void SubtransportLayer::establish(StRms& rms) {
@@ -644,18 +658,18 @@ void SubtransportLayer::establish(StRms& rms) {
     PeerState& state = peer_state(stream.peer_);
 
     const std::uint64_t req_id = state.next_request++;
-    Bytes payload;
-    Writer w(payload);
+    // Name the fabric the data channel lives on, so the receiver returns
+    // fast acks over the same network (shared fate with the data path).
+    netrms::NetRmsFabric* data_fabric = stream_fabric(stream.id_);
+    const Bytes fabric_name =
+        to_bytes(data_fabric != nullptr ? data_fabric->traits().name : std::string{});
+    BufferWriter w = control_writer(kCreateRequestBytes + fabric_name.size());
     w.u8(static_cast<std::uint8_t>(ControlType::kCreateRequest));
     w.u64(req_id);
     w.u64(stream.id_);
     w.u64(stream.target_.port);
     w.u8(stream.security_);
-    // Name the fabric the data channel lives on, so the receiver returns
-    // fast acks over the same network (shared fate with the data path).
-    netrms::NetRmsFabric* data_fabric = stream_fabric(stream.id_);
-    w.sized_bytes(to_bytes(data_fabric != nullptr ? data_fabric->traits().name
-                                                  : std::string{}));
+    w.sized_bytes(fabric_name);
 
     state.pending_replies[req_id].cb = [this, id](bool ok) {
       auto it = streams_.find(id);
@@ -680,7 +694,7 @@ void SubtransportLayer::establish(StRms& rms) {
       for (auto& p : pending) emit(s, std::move(p.msg), p.ack_id, p.acked);
     };
 
-    send_request_with_retry(state.peer, std::move(payload), req_id, config_.control_retries);
+    send_request_with_retry(state.peer, w.finish(), req_id, config_.control_retries);
   });
 }
 
@@ -815,14 +829,14 @@ Status SubtransportLayer::prepare_rebind(std::uint64_t stream_id,
 
     const std::uint64_t req_id = state.next_request++;
     staged_it->second.req_id = req_id;
-    Bytes payload;
-    Writer w(payload);
+    const Bytes fabric_name = to_bytes(staged_it->second.fabric->traits().name);
+    BufferWriter w = control_writer(kCreateRequestBytes + fabric_name.size());
     w.u8(static_cast<std::uint8_t>(ControlType::kPrepareRequest));
     w.u64(req_id);
     w.u64(stream.id_);
     w.u64(stream.target_.port);
     w.u8(staged_it->second.plan.security);
-    w.sized_bytes(to_bytes(staged_it->second.fabric->traits().name));
+    w.sized_bytes(fabric_name);
 
     state.pending_replies[req_id].cb = [this, id, req_id](bool ok) {
       auto it = staged_.find(id);
@@ -841,7 +855,7 @@ Status SubtransportLayer::prepare_rebind(std::uint64_t stream_id,
       }
     };
 
-    send_request_with_retry(state.peer, std::move(payload), req_id,
+    send_request_with_retry(state.peer, w.finish(), req_id,
                             config_.control_retries);
   });
   return Status::ok_status();
@@ -1233,15 +1247,13 @@ void SubtransportLayer::enqueue_component(Channel& ch, const ComponentSpec& c,
   if (!piggybackable) {
     // Anything of this stream already queued must leave first.
     flush_channel(ch);
-    BufferWriter w(ch.headroom + kEnvelopeBytes + wire_size);
-    w.skip(ch.headroom);
+    BufferWriter w(kEnvelopeBytes + wire_size, ch.headroom);
     w.u8(kStDataTag);
     w.u8(1);
     serialize_component(w, c);
-    const Buffer arena = w.finish();
     const Time passed = clamp_packet_deadline(eff_deadline, {c.stream_id});
     rms::Message m;
-    m.data = arena.slice(ch.headroom, arena.size() - ch.headroom, ch.headroom);
+    m.data = w.finish();
     m.target = Label{ch.peer, kDataPort};
     ++stats_.network_messages;
     (void)ch.net_rms->send(std::move(m), passed);
@@ -1263,8 +1275,7 @@ void SubtransportLayer::enqueue_component(Channel& ch, const ComponentSpec& c,
   if (ch.queue_count == 0) {
     // Start a fresh arena: headroom gap, then the envelope whose count
     // field is patched at flush.
-    ch.queue = BufferWriter(ch.headroom + kEnvelopeBytes + space_limit);
-    ch.queue.skip(ch.headroom);
+    ch.queue = BufferWriter(kEnvelopeBytes + space_limit, ch.headroom);
     ch.queue.u8(kStDataTag);
     ch.queue.u8(0);
   }
@@ -1297,8 +1308,7 @@ void SubtransportLayer::flush_channel(Channel& ch) {
   if (ch.queue_count == 0) return;
 
   ch.queue.patch_u8(ch.headroom + 1, ch.queue_count);  // envelope count
-  const Buffer arena = ch.queue.finish();
-  Buffer payload = arena.slice(ch.headroom, arena.size() - ch.headroom, ch.headroom);
+  Buffer payload = ch.queue.finish();
 
   // The packet carries the queue's *minimum* transmission deadline — the
   // most urgent component sets the urgency — clamped so it is monotone for
@@ -1328,9 +1338,11 @@ void SubtransportLayer::flush_channel(Channel& ch) {
 // ------------------------------------------------------------- receive path
 
 void SubtransportLayer::on_control_message(rms::Message msg) {
-  const netrms::CostModel cost;  // control messages are small; default costs
-  cpu_.submit(sim_.now() + config_.cpu_stage_allowance,
-              cost.message_cost(msg.size(), false, false, false),
+  // Control messages are small; default costs. Computed before the submit:
+  // the closure argument moves `msg`, and argument evaluation order is
+  // unspecified.
+  const Time cost = netrms::CostModel{}.message_cost(msg.size(), false, false, false);
+  cpu_.submit(sim_.now() + config_.cpu_stage_allowance, cost,
               [this, msg = std::move(msg)]() mutable { handle_control(std::move(msg)); });
 }
 
@@ -1351,13 +1363,12 @@ void SubtransportLayer::handle_control(rms::Message msg) {
       const Key key = derive_pair_key(host_, src);
       if (xtea_mac(key, *nonce, BytesView{}) != *mac) return;  // impostor challenge
       ps.peer_verified = true;
-      Bytes reply;
-      Writer w(reply);
+      BufferWriter w = control_writer(1 + 8 + 8 + 8);
       w.u8(static_cast<std::uint8_t>(ControlType::kAuthResponse));
       w.u64(*req_id);
       w.u64(*nonce);
       w.u64(xtea_mac(key, *nonce + 1, BytesView{}));
-      send_control(ps, std::move(reply));
+      send_control(ps, w.finish());
       break;
     }
     case ControlType::kAuthResponse: {
@@ -1406,13 +1417,12 @@ void SubtransportLayer::handle_control(rms::Message msg) {
           entry.ack_fabric = fabric_named(*net_name);
         }
       }
-      Bytes reply;
-      Writer w(reply);
+      BufferWriter w = control_writer(1 + 8 + 8 + 1);
       w.u8(static_cast<std::uint8_t>(ControlType::kCreateReply));
       w.u64(*req_id);
       w.u64(*st_id);
       w.u8(ok ? 1 : 0);
-      send_control(ps, std::move(reply));
+      send_control(ps, w.finish());
       break;
     }
     case ControlType::kPrepareRequest: {
@@ -1440,13 +1450,12 @@ void SubtransportLayer::handle_control(rms::Message msg) {
           entry.ack_fabric = fabric_named(*net_name);
         }
       }
-      Bytes reply;
-      Writer w(reply);
+      BufferWriter w = control_writer(1 + 8 + 8 + 1);
       w.u8(static_cast<std::uint8_t>(ControlType::kCreateReply));
       w.u64(*req_id);
       w.u64(*st_id);
       w.u8(ok ? 1 : 0);
-      send_control(ps, std::move(reply));
+      send_control(ps, w.finish());
       break;
     }
     case ControlType::kCreateReply: {
@@ -1620,8 +1629,7 @@ void SubtransportLayer::handle_data(rms::Message msg) {
     // carries the stream.
     auto send_fast_ack = [&](DemuxEntry& entry_ref, std::uint64_t id_to_ack) {
       PeerState& ps = peer_state(src);
-      Bytes ack;
-      Writer w(ack);
+      BufferWriter w = control_writer(1 + 8 + 8);
       w.u8(static_cast<std::uint8_t>(ControlType::kFastAck));
       w.u64(*st_id);
       w.u64(id_to_ack);
@@ -1632,9 +1640,9 @@ void SubtransportLayer::handle_data(rms::Message msg) {
                                 std::to_string(src));
       }
       if (entry_ref.ack_fabric != nullptr) {
-        send_control_on(ps, *entry_ref.ack_fabric, std::move(ack));
+        send_control_on(ps, *entry_ref.ack_fabric, w.finish());
       } else {
-        send_control(ps, std::move(ack));
+        send_control(ps, w.finish());
       }
     };
 
@@ -1753,11 +1761,10 @@ void SubtransportLayer::release_stream(StRms& rms) {
   trace("st.close", "stream " + std::to_string(rms.id_));
   auto pit = peers_.find(rms.peer_);
   if (pit != peers_.end() && pit->second.control_out != nullptr) {
-    Bytes payload;
-    Writer w(payload);
+    BufferWriter w = control_writer(1 + 8);
     w.u8(static_cast<std::uint8_t>(ControlType::kDelete));
     w.u64(rms.id_);
-    send_control(pit->second, std::move(payload));
+    send_control(pit->second, w.finish());
   }
 
   detach_channel(rms);

@@ -489,7 +489,7 @@ class SubtransportLayer : public rms::Provider {
   PeerState& peer_state(HostId peer);
   void ensure_authenticated(PeerState& ps, std::function<void()> then);
   void ensure_control_out(PeerState& ps);
-  void send_request_with_retry(HostId peer, Bytes payload, std::uint64_t req_id,
+  void send_request_with_retry(HostId peer, Buffer payload, std::uint64_t req_id,
                                int attempts);
   Result<Channel*> obtain_channel(HostId peer, netrms::NetRmsFabric& fabric,
                                   const StParamsPlan& plan);
@@ -551,10 +551,10 @@ class SubtransportLayer : public rms::Provider {
   /// records it against those streams.
   Time clamp_packet_deadline(Time candidate,
                              const std::vector<std::uint64_t>& stream_ids);
-  void send_control(PeerState& ps, Bytes payload);
+  void send_control(PeerState& ps, Buffer payload);
   /// Sends a control payload over a channel pinned to `fabric` (used for
   /// fast acks, which must share fate with the data path they answer).
-  void send_control_on(PeerState& ps, netrms::NetRmsFabric& fabric, Bytes payload);
+  void send_control_on(PeerState& ps, netrms::NetRmsFabric& fabric, Buffer payload);
   netrms::NetRmsFabric* fabric_named(BytesView name) const;
 
   // receive path

@@ -188,13 +188,12 @@ void StreamReceiver::accept(std::uint64_t seq, Bytes data) {
 
 void StreamReceiver::send_ack() {
   if (ack_rms_ == nullptr) return;
-  Bytes wire;
-  Writer w(wire);
+  BufferWriter w(1 + 8 + 8, ack_rms_->send_headroom());
   w.u8(kAck);
   w.u64(expected_seq_ == 0 ? ~0ull : expected_seq_ - 1);  // cumulative
   w.u64(config_.receiver_flow_control ? buffer_free() : ~0ull);
   rms::Message m;
-  m.data = std::move(wire);
+  m.data = w.finish();
   if (ack_rms_->send(std::move(m)).ok()) ++stats_.acks_sent;
 }
 
@@ -341,13 +340,7 @@ void StreamSender::pump() {
 
 void StreamSender::send_chunk(Bytes chunk) {
   const std::uint64_t seq = next_seq_++;
-  Bytes wire;
-  wire.reserve(kDataHeaderBytes + chunk.size());
-  Writer w(wire);
-  w.u8(kData);
-  w.u64(seq);
-  w.u64(ack_port_id_);
-  w.bytes(chunk);
+  Buffer wire = data_wire(seq, chunk);
 
   const std::size_t size = chunk.size();
   if (config_.reliable || config_.receiver_flow_control) {
@@ -488,14 +481,17 @@ void StreamSender::arm_rto() {
   rto_timer_ = sim_.timer_after(current_rto_, [this] { rto_fire(); });
 }
 
-void StreamSender::retransmit(std::uint64_t seq, Unacked& entry) {
-  Bytes wire;
-  wire.reserve(kDataHeaderBytes + entry.data.size());
-  Writer w(wire);
+Buffer StreamSender::data_wire(std::uint64_t seq, BytesView chunk) const {
+  BufferWriter w(kDataHeaderBytes + chunk.size(), data_rms_->send_headroom());
   w.u8(kData);
   w.u64(seq);
   w.u64(ack_port_id_);
-  w.bytes(entry.data);
+  w.bytes(chunk);
+  return w.finish();
+}
+
+void StreamSender::retransmit(std::uint64_t seq, Unacked& entry) {
+  Buffer wire = data_wire(seq, entry.data);
   // Ack-based/model capacity: if the seq's original charge is still
   // pending (no fast ack yet), the retransmitted copy rides it. If the
   // charge was already released (the original arrived but the transport

@@ -216,6 +216,9 @@ class StreamSender {
   Time base_rto() const;
   void rack_scan();
   struct Unacked;
+  /// Encodes one data wire (header + `chunk`) with the data RMS's
+  /// send_headroom() reserved, so its header can be written in place.
+  Buffer data_wire(std::uint64_t seq, BytesView chunk) const;
   void retransmit(std::uint64_t seq, Unacked& entry);
   void arm_rto();
   void rto_fire();

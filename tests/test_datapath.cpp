@@ -6,10 +6,15 @@
 // steady-state check that no engine event or CPU work item falls back to a
 // heap-allocated closure (DESIGN.md §10).
 //
+// It also pins down the storage contract of `Buffer` / `BufferWriter`
+// (one block per buffer) and the allocation cost of a datagram through
+// the real-UDP backend (DESIGN.md §16).
+//
 // This binary links dash_alloc_count first, so the global operator
 // new/delete are the counting versions.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -17,12 +22,15 @@
 #include <vector>
 
 #include "fault/fault.h"
+#include "net/udp/udp.h"
 #include "rkom/rkom.h"
+#include "rt/driver.h"
 #include "st/st.h"
 #include "test_helpers.h"
 #include "util/alloc_count.h"
 #include "transport/stream.h"
 #include "util/buffer.h"
+#include "util/serialize.h"
 
 namespace dash::st {
 namespace {
@@ -46,6 +54,147 @@ rms::Request datapath_request(std::uint64_t capacity = 64 * 1024,
   acceptable.capacity = 1;
   acceptable.max_message_size = 1;
   return rms::Request{desired, acceptable};
+}
+
+#define REQUIRE_ALLOC_COUNT()                                         \
+  do {                                                                \
+    if (!alloc_count::instrumented()) {                               \
+      GTEST_SKIP() << "counting allocator absent";                    \
+    }                                                                 \
+  } while (0)
+
+// ------------------------------------------------------ buffer storage
+
+// A writer serializes into the block it hands over: finish() allocates
+// nothing, so one encoded message is one allocation.
+TEST(BufferStorage, FinishHandsOverTheWritersOneBlock) {
+  REQUIRE_ALLOC_COUNT();
+  alloc_count::Scope scope;
+  BufferWriter w(13, 4);
+  w.u8(1);
+  w.u64(2);
+  w.u32(3);
+  const Buffer b = w.finish();
+  EXPECT_EQ(scope.allocations(), 1u);
+  EXPECT_EQ(b.size(), 13u);
+  EXPECT_EQ(b.headroom(), 4u);
+  Reader r(b);
+  EXPECT_EQ(*r.u8(), 1u);
+  EXPECT_EQ(*r.u64(), 2u);
+  EXPECT_EQ(*r.u32(), 3u);
+}
+
+TEST(BufferStorage, CopyFromBytesIsOneBlock) {
+  REQUIRE_ALLOC_COUNT();
+  const Bytes src = patterned_bytes(100, 1);
+  alloc_count::Scope scope;
+  const Buffer a{BytesView(src)};
+  const Buffer b = src;  // the implicit conversion copies too
+  const Buffer none{BytesView{}};
+  EXPECT_EQ(scope.allocations(), 2u);
+  EXPECT_TRUE(a == src);
+  EXPECT_TRUE(b == src);
+  EXPECT_FALSE(a.shares_storage(b));
+  EXPECT_TRUE(none.empty());
+}
+
+TEST(BufferStorage, SliceAndHeadroomPrependShareStorage) {
+  REQUIRE_ALLOC_COUNT();
+  BufferWriter w(8, 4);
+  w.u64(0x0807060504030201ull);
+  const Buffer body = w.finish();
+  const std::array<std::byte, 3> header = {std::byte{0xA}, std::byte{0xB},
+                                           std::byte{0xC}};
+  alloc_count::Scope scope;
+  const Buffer mid = body.slice(2, 4);
+  const Buffer framed = body.prepend(header);
+  EXPECT_EQ(scope.allocations(), 0u);
+  EXPECT_TRUE(mid.shares_storage(body));
+  EXPECT_EQ(mid.size(), 4u);
+  EXPECT_EQ(mid[0], std::byte{3});
+  EXPECT_TRUE(framed.shares_storage(body));
+  EXPECT_EQ(framed.size(), 11u);
+  EXPECT_EQ(framed.headroom(), 1u);
+  EXPECT_EQ(framed[0], std::byte{0xA});
+  EXPECT_EQ(framed[3], std::byte{1});
+}
+
+TEST(BufferStorage, PrependWithoutHeadroomCopies) {
+  REQUIRE_ALLOC_COUNT();
+  const Buffer body = to_bytes("payload");
+  const Buffer inner = body.slice(1, 3);  // no headroom granted
+  const std::array<std::byte, 2> header = {std::byte{'>'}, std::byte{' '}};
+  alloc_count::Scope scope;
+  const Buffer framed = body.prepend(header);
+  const Buffer framed_inner = inner.prepend(header);
+  EXPECT_EQ(scope.allocations(), 2u);
+  EXPECT_FALSE(framed.shares_storage(body));
+  EXPECT_FALSE(framed_inner.shares_storage(body));
+  EXPECT_EQ(to_string(framed), "> payload");
+  EXPECT_EQ(to_string(framed_inner), "> ayl");
+  EXPECT_EQ(to_string(body), "payload");
+}
+
+TEST(BufferStorage, MutateCopiesOnlyWhenShared) {
+  REQUIRE_ALLOC_COUNT();
+  Buffer a = to_bytes("abcd");
+  alloc_count::Scope scope;
+  a.mutate()[0] = std::byte{'x'};  // sole owner: in place
+  EXPECT_EQ(scope.allocations(), 0u);
+  Buffer b = a;
+  b.mutate()[0] = std::byte{'y'};  // shared: copies first
+  EXPECT_EQ(scope.allocations(), 1u);
+  EXPECT_FALSE(b.shares_storage(a));
+  EXPECT_EQ(to_string(a), "xbcd");
+  EXPECT_EQ(to_string(b), "ybcd");
+  a.flip_bit(1, 0x01);  // sole owner again
+  EXPECT_EQ(scope.allocations(), 1u);
+  EXPECT_EQ(to_string(a), "xccd");
+  Buffer none = a.slice(2, 0);  // an empty range has nothing to copy
+  EXPECT_TRUE(none.mutate().empty());
+  EXPECT_EQ(scope.allocations(), 1u);
+}
+
+TEST(BufferStorage, MovedFromBufferIsEmpty) {
+  Buffer a = patterned_bytes(32, 2);
+  Buffer b = std::move(a);
+  EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(a.view().empty());
+  EXPECT_FALSE(a.shares_storage(b));
+  EXPECT_EQ(b.size(), 32u);
+  Buffer c;
+  c = std::move(b);
+  EXPECT_EQ(b.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c.size(), 32u);
+  EXPECT_TRUE(c == patterned_bytes(32, 2));
+}
+
+TEST(BufferStorage, GrowthPastTheReserveKeepsBytesAndPatchOffsets) {
+  BufferWriter w(4, 2);
+  const std::size_t at = w.pos();
+  w.u32(0);  // placeholder, patched after growth
+  for (int i = 0; i < 100; ++i) w.u8(static_cast<std::uint8_t>(i));
+  w.patch_u32(at, 0xAABBCCDDu);
+  w.patch_u8(at + 4 + 50, 0xEE);
+  const Buffer b = w.finish();
+  EXPECT_EQ(b.size(), 104u);
+  EXPECT_EQ(b.headroom(), 2u);
+  Reader r(b);
+  EXPECT_EQ(*r.u32(), 0xAABBCCDDu);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(*r.u8(), i == 50 ? 0xEE : i) << "byte " << i;
+  }
+}
+
+TEST(BufferStorage, ConcatJoinsPartsIntoOneBlock) {
+  REQUIRE_ALLOC_COUNT();
+  const std::array<Buffer, 3> parts = {Buffer(to_bytes("abc")), Buffer(),
+                                       Buffer(to_bytes("defg"))};
+  alloc_count::Scope scope;
+  const Buffer joined = Buffer::concat(parts);
+  EXPECT_EQ(scope.allocations(), 1u);
+  EXPECT_EQ(to_string(joined), "abcdefg");
+  EXPECT_FALSE(joined.shares_storage(parts[0]));
 }
 
 // ------------------------------------------------------- aliasing safety
@@ -256,9 +405,9 @@ TEST(Datapath, EndToEndAllocationStaysNearTwoCopies) {
   EXPECT_TRUE(delivered->data == payload);
   // copy 0 (handoff) + copy 1 (arena gather) + copy 2 (reassembly concat)
   // ≈ 3N, plus ~0.6 KiB of event/container bookkeeping per fragment
-  // (currently ~43 KB total, deterministic). The bound sits below 3N + 2·N/3
-  // so an extra payload-sized copy (+N ≈ 12 KB) regressing into the path
-  // trips it.
+  // (currently 42.6 KB in 42 allocations, deterministic). The bound sits
+  // below 3N + 2·N/3 so an extra payload-sized copy (+N ≈ 12 KB)
+  // regressing into the path trips it.
   EXPECT_LT(bytes, 3 * kN + 24 * 1024)
       << "end-to-end allocated " << bytes << " B for a " << kN << " B message";
 }
@@ -290,10 +439,53 @@ TEST(Datapath, PiggybackSendAllocationIsFlat) {
     world.sim.run();
   }
   ASSERT_EQ(port.delivered(), 8u + 16u);
-  // Steady state averages about ten small allocations per message; a
-  // copy-heavy path would show several payload+arena-sized blocks each.
+  // Steady state averages about nine small allocations per message (141
+  // for the 16); a copy-heavy path would show several payload+arena-sized
+  // blocks each.
   EXPECT_LT(scope.allocations() / 16, 40u)
       << scope.allocations() << " allocations for 16 messages";
+}
+
+// ------------------------------------------------------ real UDP datagrams
+
+// UdpNetwork allocates its recvmmsg slots and mmsghdr/iovec arrays once,
+// so a datagram sent in its own event batch costs the encoded datagram on
+// send and the one payload block on receive — not a fresh set of 2 KB
+// receive slots per wakeup.
+TEST(UdpDatapath, DatagramCostsAtMostThreeAllocations) {
+  REQUIRE_ALLOC_COUNT();
+  REQUIRE_UDP();
+  sim::Simulator sim;
+  rt::Driver driver(sim);
+  net::UdpNetwork udp(driver);
+  std::size_t received = 0;
+  udp.attach(1, [](net::Packet) {});
+  udp.attach(2, [&received](net::Packet p) {
+    if (p.size() == 200) ++received;
+  });
+  constexpr std::size_t kWarm = 8;
+  constexpr std::size_t kCount = 64;
+  std::vector<net::Packet> packets(kWarm + kCount);
+  for (net::Packet& p : packets) {
+    p.src = 1;
+    p.dst = 2;
+    p.payload = patterned_bytes(200, 3);
+  }
+  auto send_one = [&](std::size_t i) {
+    ASSERT_TRUE(udp.send(std::move(packets[i])));
+    ASSERT_TRUE(driver.run_until([&] { return received == i + 1; }, sec(2)));
+  };
+  for (std::size_t i = 0; i < kWarm; ++i) send_one(i);
+  // Wall time moves the calendar wheel onto buckets whose vectors have not
+  // grown yet; touch all of them (512 × 8.2 µs) before counting.
+  for (Time t = 0; t < msec(5); t += usec(8)) sim.after(t, [] {});
+  driver.run_for(msec(6));
+
+  alloc_count::Scope scope;
+  for (std::size_t i = kWarm; i < kWarm + kCount; ++i) send_one(i);
+  ASSERT_EQ(received, kWarm + kCount);
+  EXPECT_LE(scope.allocations(), 3 * kCount)
+      << scope.allocations() << " allocations for " << kCount << " datagrams";
 }
 
 // ------------------------------------------ task storage at steady state

@@ -9,12 +9,22 @@
 #include "fault/fault.h"
 #include "net/ethernet.h"
 #include "net/internet.h"
+#include "net/udp/udp.h"
 #include "netrms/fabric.h"
 #include "path/path.h"
 #include "rms/rms.h"
 #include "sim/cpu_scheduler.h"
 #include "sim/simulator.h"
 #include "st/st.h"
+
+/// Skips a test where the environment forbids loopback UDP sockets
+/// (sandboxed CI), using the backend's own capability probe.
+#define REQUIRE_UDP()                                   \
+  do {                                                  \
+    if (!dash::net::udp_available()) {                  \
+      GTEST_SKIP() << "UDP sockets unavailable here";   \
+    }                                                   \
+  } while (0)
 
 namespace dash::testing {
 

@@ -962,6 +962,30 @@ TEST(StRobustness, GarbageOnControlPortIsDropped) {
   EXPECT_EQ(port.delivered(), 1u);
 }
 
+// The ST charges a received control message's CPU cost on the bytes it
+// carried. The cost must be read before the closure that takes the message
+// is built: a moved-from buffer is empty, so the other order charges the
+// fixed per-message cost only.
+TEST(StRobustness, ControlMessageCostCountsItsBytes) {
+  netrms::CostModel free_fabric;  // isolate the ST's charge on the receiver
+  free_fabric.per_message = 0;
+  free_fabric.per_byte_copy = 0;
+  free_fabric.per_byte_checksum = 0;
+  StWorld world(2, net::ethernet_traits(), 42, {}, net::Discipline::kDeadline,
+                free_fabric);
+  auto raw = world.fabric->create(1, dash::testing::loose_request(4096, 200),
+                                  {2, st::kControlPort});
+  ASSERT_TRUE(raw.ok());
+  constexpr std::size_t kBytes = 150;
+  rms::Message m;
+  m.data = Bytes(kBytes, std::byte{0xEE});  // no such control type: ignored
+  const Time before = world.host(2).cpu.busy_time();
+  ASSERT_TRUE(raw.value()->send(std::move(m)).ok());
+  world.sim.run();
+  EXPECT_EQ(world.host(2).cpu.busy_time() - before,
+            netrms::CostModel{}.message_cost(kBytes, false, false, false));
+}
+
 TEST(StRobustness, ComponentForDeletedStreamCountsUnknown) {
   StWorld world(2);
   rms::Port port;

@@ -30,13 +30,6 @@ using net::udp::DecodeError;
 using workload::UdpLoopbackWorld;
 using workload::UdpWorldConfig;
 
-#define REQUIRE_UDP()                                   \
-  do {                                                  \
-    if (!net::udp_available()) {                        \
-      GTEST_SKIP() << "UDP sockets unavailable here";   \
-    }                                                   \
-  } while (0)
-
 // ------------------------------------------------------------- wire codec
 
 net::Packet sample_packet() {
