@@ -28,9 +28,9 @@ ModelEnforcer::ModelEnforcer(sim::Simulator& sim, const rms::Params& params,
   pacer_.set_rate(model_.pacing_rate_Bps());
 }
 
-std::optional<Time> ModelEnforcer::on_packet_acked(std::uint64_t id,
-                                                   bool rtt_eligible) {
-  auto sample = sampler_.on_ack(id, sim_.now(), rtt_eligible);
+std::optional<Time> ModelEnforcer::on_packet_acked(
+    const DeliveryRateSampler::Snapshot& s, bool rtt_eligible) {
+  auto sample = sampler_.on_ack(s, sim_.now(), rtt_eligible);
   if (!sample) return std::nullopt;
   model_.on_sample(*sample, sampler_.delivered_bytes(), inflight_, sim_.now());
   pacer_.set_rate(model_.pacing_rate_Bps());

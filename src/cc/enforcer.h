@@ -8,8 +8,8 @@
 //
 // can_send admits a send only when it fits the model's congestion window
 // AND the pacing schedule allows it; note_sent charges both. The stream
-// additionally feeds per-sequence send/ack events so the sampler can form
-// delivery-rate samples, and forwards fabric source-quench signals.
+// additionally feeds per-send snapshots back on ack so the sampler can
+// form delivery-rate samples, and forwards fabric source-quench signals.
 //
 // Deterministic reservations are untouched by construction: the enforcer
 // only ever *delays or shrinks* what the stream was already allowed to
@@ -62,18 +62,20 @@ class ModelEnforcer final : public transport::CapacityEnforcer {
     return pacer_.next_allowed(n);
   }
 
-  // Per-sequence evidence from the stream protocol.
-  void on_packet_sent(std::uint64_t id, std::size_t bytes, bool app_limited) {
-    sampler_.on_sent(id, bytes, sim_.now(), app_limited);
+  // Per-send evidence from the stream protocol, which keeps each send's
+  // snapshot in its own window record until the send is acked.
+  DeliveryRateSampler::Snapshot on_packet_sent(std::size_t bytes, bool app_limited) {
+    return sampler_.on_sent(bytes, sim_.now(), app_limited);
   }
-  void on_packet_retransmitted(std::uint64_t id) {
-    sampler_.on_retransmit(id, sim_.now());
+  void on_packet_retransmitted(DeliveryRateSampler::Snapshot& s) {
+    DeliveryRateSampler::on_retransmit(s, sim_.now());
   }
   /// Consumes the ack, updates the model, refreshes the pacing rate.
   /// Returns the unambiguous RTT sample, if any (for the stream's RTO
   /// estimator). `rtt_eligible` is false for late transport-level acks
   /// that arrive over the slow reverse path.
-  std::optional<Time> on_packet_acked(std::uint64_t id, bool rtt_eligible = true);
+  std::optional<Time> on_packet_acked(const DeliveryRateSampler::Snapshot& s,
+                                      bool rtt_eligible = true);
 
   /// Fabric source-quench reached this stream.
   void on_quench() {

@@ -4,8 +4,9 @@
 // protocol; the cc subsystem supplies a *model-based* enforcer whose
 // inputs all come from here:
 //
-//   * DeliveryRateSampler — timestamps every send with a snapshot of the
-//     cumulative delivered count, and turns each acknowledgement into a
+//   * DeliveryRateSampler — hands every send a snapshot of the cumulative
+//     delivered count (the caller stores it), and turns each
+//     acknowledgement of a stored snapshot into a
 //     delivered-bytes/interval bandwidth sample (the BBR delivery-rate
 //     estimator shape). Retransmitted sends are marked ambiguous and
 //     yield no RTT or bandwidth sample (Karn's rule).
@@ -18,7 +19,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
-#include <map>
 #include <optional>
 
 #include "util/time.h"
@@ -105,7 +105,9 @@ class RttEstimator {
 ///   bw = (delivered_now − delivered_at_send) / (now − delivered_time_at_send)
 ///
 /// which is robust to ack aggregation and, unlike ack-counting windows,
-/// never over-reports the bottleneck rate.
+/// never over-reports the bottleneck rate. The per-send record is a
+/// Snapshot the caller keeps with its own per-sequence state (the stream's
+/// send window), so the sampler holds no per-packet table of its own.
 class DeliveryRateSampler {
  public:
   struct Sample {
@@ -115,34 +117,35 @@ class DeliveryRateSampler {
     std::uint64_t delivered_at_send = 0;  ///< for round counting
   };
 
+  /// The sampler's view of one send, returned by on_sent.
+  struct Snapshot {
+    std::size_t bytes = 0;
+    Time sent_at = -1;
+    Time delivered_time_snap = -1;  ///< delivered_time_ when sent
+    std::uint64_t delivered_snap = 0;  ///< delivered_ when sent
+    bool app_limited = false;
+    bool ambiguous = false;  ///< retransmitted since (Karn)
+  };
+
   /// Records a transmission. `app_limited` marks sends made with an empty
   /// backlog, whose delivery rate reflects the application, not the path.
-  void on_sent(std::uint64_t id, std::size_t bytes, Time now, bool app_limited) {
+  Snapshot on_sent(std::size_t bytes, Time now, bool app_limited) {
     if (delivered_time_ < 0) delivered_time_ = now;
-    sent_[id] = Sent{bytes, now, delivered_time_, delivered_, app_limited, false};
-    // A peer that never acknowledges must not grow the map without bound.
-    while (sent_.size() > kMaxTracked) sent_.erase(sent_.begin());
+    return Snapshot{bytes, now, delivered_time_, delivered_, app_limited, false};
   }
 
-  /// Karn's rule: a retransmitted id can no longer yield an unambiguous
+  /// Karn's rule: a retransmitted send can no longer yield an unambiguous
   /// RTT (and its delivery interval now spans two transmissions).
-  void on_retransmit(std::uint64_t id, Time now) {
-    auto it = sent_.find(id);
-    if (it == sent_.end()) return;
-    it->second.ambiguous = true;
-    it->second.sent_at = now;
+  static void on_retransmit(Snapshot& s, Time now) {
+    s.ambiguous = true;
+    s.sent_at = now;
   }
 
-  /// Consumes the record for `id`. Always advances the delivered count;
-  /// returns a bandwidth/RTT sample only for unambiguous first-transmission
-  /// acks (`rtt_eligible` lets the caller mark late transport-level acks —
+  /// Consumes the send `s`. Always advances the delivered count; returns a
+  /// bandwidth/RTT sample only for unambiguous first-transmission acks
+  /// (`rtt_eligible` lets the caller mark late transport-level acks —
   /// measured over a slower reverse path — as delivery-only evidence).
-  std::optional<Sample> on_ack(std::uint64_t id, Time now, bool rtt_eligible = true) {
-    auto it = sent_.find(id);
-    if (it == sent_.end()) return std::nullopt;
-    const Sent s = it->second;
-    sent_.erase(it);
-
+  std::optional<Sample> on_ack(const Snapshot& s, Time now, bool rtt_eligible = true) {
     delivered_ += s.bytes;
     delivered_time_ = now;
     ++acked_;
@@ -162,22 +165,8 @@ class DeliveryRateSampler {
 
   std::uint64_t delivered_bytes() const { return delivered_; }
   std::uint64_t acked() const { return acked_; }
-  std::size_t tracked() const { return sent_.size(); }
 
  private:
-  struct Sent {
-    std::size_t bytes = 0;
-    Time sent_at = -1;
-    Time delivered_time_snap = -1;  ///< delivered_time_ when sent
-    std::uint64_t delivered_snap = 0;  ///< delivered_ when sent
-    bool app_limited = false;
-    bool ambiguous = false;  ///< retransmitted since (Karn)
-  };
-
-  static constexpr std::size_t kMaxTracked = 4096;
-
-  // Ordered so the eviction above drops the oldest id deterministically.
-  std::map<std::uint64_t, Sent> sent_;
   std::uint64_t delivered_ = 0;
   std::uint64_t acked_ = 0;
   Time delivered_time_ = -1;

@@ -51,7 +51,7 @@ UdpNetwork::UdpNetwork(rt::Driver& driver, NetworkTraits traits, UdpConfig cfg)
   recv_slots_.resize(batch * cfg_.datagram_buffer);
   recv_iovs_.resize(batch);
   recv_msgs_.resize(batch);
-  send_iovs_.resize(batch);
+  send_iovs_.resize(2 * batch);
   send_msgs_.resize(batch);
   for (std::size_t i = 0; i < batch; ++i) {
     recv_iovs_[i] = iovec{recv_slots_.data() + i * cfg_.datagram_buffer,
@@ -193,7 +193,8 @@ bool UdpNetwork::send(Packet p) {
   }
   p.seq = next_seq();
   Endpoint& ep = src->second;
-  ep.backlog.push_back(Pending{dst->second.addr, udp::encode(p)});
+  const udp::Header header = udp::encode_header(p);
+  ep.backlog.push(Pending{dst->second.addr, header, std::move(p.payload)});
   ++stats_.sent;
   if (ep.backlog.size() > ustats_.max_send_backlog) {
     ustats_.max_send_backlog = ep.backlog.size();
@@ -219,13 +220,16 @@ void UdpNetwork::flush(HostId host) {
     const std::size_t n = std::min(ep.backlog.size(), send_msgs_.size());
     for (std::size_t i = 0; i < n; ++i) {
       Pending& pend = ep.backlog[i];
-      send_iovs_[i] = iovec{pend.datagram.data(), pend.datagram.size()};
+      // sendmmsg only reads through iov_base.
+      send_iovs_[2 * i] = iovec{pend.header.data(), pend.header.size()};
+      send_iovs_[2 * i + 1] = iovec{const_cast<std::byte*>(pend.payload.view().data()),
+                                    pend.payload.size()};
       send_msgs_[i] = mmsghdr{};
       msghdr& h = send_msgs_[i].msg_hdr;
       h.msg_name = &pend.to;
       h.msg_namelen = sizeof(pend.to);
-      h.msg_iov = &send_iovs_[i];
-      h.msg_iovlen = 1;
+      h.msg_iov = &send_iovs_[2 * i];
+      h.msg_iovlen = 2;
     }
     const int sent =
         sendmmsg(ep.fd, send_msgs_.data(), static_cast<unsigned>(n), 0);
@@ -243,12 +247,12 @@ void UdpNetwork::flush(HostId host) {
       // so the queue cannot wedge, and keep going.
       ++ustats_.send_errors;
       ++stats_.dropped;
-      ep.backlog.pop_front();
+      (void)ep.backlog.pop();
       continue;
     }
     ustats_.datagrams_sent += static_cast<std::uint64_t>(sent);
     if (sent > 0) ++ustats_.send_batches;
-    ep.backlog.erase(ep.backlog.begin(), ep.backlog.begin() + sent);
+    for (int i = 0; i < sent; ++i) (void)ep.backlog.pop();
   }
   if (ep.want_writable) {
     ep.want_writable = false;

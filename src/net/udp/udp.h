@@ -12,9 +12,10 @@
 // checksum of udp_traits(), so damaged or malformed datagrams are
 // counted into corrupted_dropped and never reach a sink.
 //
-// Batching: send() never issues a syscall — it encodes onto the source
-// socket's backlog and schedules a zero-delay flush task, so every send
-// in one event batch coalesces into one sendmmsg. EAGAIN parks the
+// Batching: send() never issues a syscall — it queues the encoded header
+// and the payload Buffer on the source socket's backlog ring and schedules
+// a zero-delay flush task, so every send in one event batch coalesces into
+// one sendmmsg (two iovecs per datagram). EAGAIN parks the
 // backlog on EPOLLOUT. Receive drains with recvmmsg in bounded rounds
 // per readiness wakeup. The receive slots and both directions' mmsghdr /
 // iovec arrays are allocated once per network, so a wakeup allocates only
@@ -28,7 +29,6 @@
 #include <sys/socket.h>
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -36,6 +36,7 @@
 #include "net/network.h"
 #include "net/udp/wire.h"
 #include "rt/driver.h"
+#include "util/fifo.h"
 #include "util/result.h"
 
 namespace dash::net {
@@ -110,15 +111,18 @@ class UdpNetwork final : public Network {
   rt::Driver& driver() { return driver_; }
 
  private:
+  /// A queued datagram: its encoded header and the packet's payload,
+  /// sent as two iovecs.
   struct Pending {
     sockaddr_in to{};
-    Bytes datagram;
+    udp::Header header;
+    Buffer payload;
   };
   struct Endpoint {
     sockaddr_in addr{};
     int fd = -1;  ///< >= 0 only for locally bound hosts
     PacketSink sink;
-    std::deque<Pending> backlog;
+    Fifo<Pending> backlog;
     bool flush_scheduled = false;
     bool want_writable = false;  ///< EPOLLOUT armed for backlog drain
   };
@@ -142,7 +146,7 @@ class UdpNetwork final : public Network {
   std::vector<std::byte> recv_slots_;  ///< batch × datagram_buffer bytes
   std::vector<iovec> recv_iovs_;
   std::vector<mmsghdr> recv_msgs_;
-  std::vector<iovec> send_iovs_;
+  std::vector<iovec> send_iovs_;  ///< two per datagram: header, payload
   std::vector<mmsghdr> send_msgs_;
 };
 

@@ -23,24 +23,34 @@ const char* decode_error_name(DecodeError e) {
   return "?";
 }
 
+Header encode_header(const Packet& p) {
+  Header h;
+  std::size_t at = 0;
+  const auto put = [&h, &at](std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) h[at++] = static_cast<std::byte>(v >> (8 * i));
+  };
+  put(kMagic, 2);
+  put(kWireVersion, 1);
+  put(p.corrupted ? kFlagCorrupted : 0, 1);
+  put(p.src, 8);
+  put(p.dst, 8);
+  put(p.stream, 8);
+  put(p.seq, 8);
+  put(static_cast<std::uint64_t>(p.deadline), 8);
+  put(static_cast<std::uint32_t>(p.priority), 4);
+  put(static_cast<std::uint32_t>(p.payload.size()), 4);
+  const std::array<BytesView, 2> chain = {BytesView(h.data(), kChecksumOffset),
+                                          p.payload.view()};
+  put(crc32(ViewChain(chain)), 4);
+  return h;
+}
+
 Bytes encode(const Packet& p) {
+  const Header h = encode_header(p);
   Bytes out;
   out.reserve(kHeaderBytes + p.payload.size());
-  Writer w(out);
-  w.u16(kMagic);
-  w.u8(kWireVersion);
-  w.u8(p.corrupted ? kFlagCorrupted : 0);
-  w.u64(p.src);
-  w.u64(p.dst);
-  w.u64(p.stream);
-  w.u64(p.seq);
-  w.i64(p.deadline);
-  w.u32(static_cast<std::uint32_t>(p.priority));
-  w.u32(static_cast<std::uint32_t>(p.payload.size()));
-  const std::array<BytesView, 2> chain = {
-      BytesView(out.data(), kChecksumOffset), p.payload.view()};
-  w.u32(crc32(ViewChain(chain)));
-  w.bytes(p.payload.view());
+  append(out, h);
+  append(out, p.payload.view());
   return out;
 }
 

@@ -9,6 +9,7 @@
 // receiving network counts into corrupted_dropped.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "net/packet.h"
@@ -51,7 +52,14 @@ enum class DecodeError : std::uint8_t {
 
 const char* decode_error_name(DecodeError e);
 
-/// Serializes `p` into one datagram (header + payload).
+using Header = std::array<std::byte, kHeaderBytes>;
+
+/// The fixed header of `p`'s datagram, checksum included. The send path
+/// hands the kernel this header and the payload Buffer as two iovecs, so
+/// a datagram costs no allocation of its own.
+Header encode_header(const Packet& p);
+
+/// Serializes `p` into one contiguous datagram (header + payload).
 Bytes encode(const Packet& p);
 
 /// Parses `datagram` into `out`. Returns kNone on success; on any failure

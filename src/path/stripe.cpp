@@ -43,9 +43,10 @@ constexpr double kPaceGain = 1.25;
 constexpr std::size_t kPaceMinBytesPerTick = 16 * 1024;
 constexpr double kAckRateAlpha = 0.3;
 
-/// Receiver reorder window (messages buffered past a gap). The ST fast ack
-/// fires at the peer's ST, so a message dropped on overflow is gone for
-/// good: sized for the worst subpath skew, not the average.
+/// Receiver reorder window: how far past the next expected sequence number
+/// a message may arrive and still be buffered. The ST fast ack fires at the
+/// peer's ST, so a message dropped beyond it is gone for good: sized for
+/// the worst subpath skew, not the average.
 constexpr std::size_t kReorderWindow = 4096;
 
 /// Substream request derived from the client's: same quality and delay
@@ -156,17 +157,16 @@ Status StripedStream::do_send(rms::Message msg, Time transmission_deadline) {
   Unacked u;
   u.payload = std::move(msg.data);
   u.client_sent_at = msg.sent_at >= 0 ? msg.sent_at : sim_.now();
-  auto [it, inserted] = unacked_.emplace(seq, std::move(u));
-  (void)inserted;
+  Unacked& entry = unacked_.insert(seq, std::move(u));
   ++stats_.striped;
-  const Status s = dispatch(seq, it->second, idx);
+  const Status s = dispatch(seq, entry, idx);
   if (!s.ok()) {
     // The substream refused the send outright — nothing went on the wire.
     // Surface the error and roll the sequence back: leaving the entry for
     // the ARQ would later deliver a message the caller was told failed,
     // and dropping it while keeping the sequence number would leave a
     // permanent hole that wedges the receiver's in-order delivery.
-    unacked_.erase(it);
+    unacked_.erase(seq);
     --next_seq_;
     --stats_.striped;
     return s;
@@ -234,8 +234,8 @@ std::size_t StripedStream::pick_subpath(std::size_t avoid) {
 }
 
 void StripedStream::on_ack(std::size_t idx, std::uint64_t seq) {
-  auto it = unacked_.find(seq);
-  if (it == unacked_.end()) return;  // already acked via another copy
+  Unacked* u = unacked_.find(seq);
+  if (u == nullptr) return;  // already acked via another copy
   ++stats_.acks;
   Subpath& sp = subpaths_[idx];
   sp.expired_rounds = 0;
@@ -252,22 +252,21 @@ void StripedStream::on_ack(std::size_t idx, std::uint64_t seq) {
   // substream stuck in a slow handshake can then inflate a path's RTO past
   // the lifetime of the transfer.)
   const Time now = sim_.now();
-  if (it->second.sent_at >= 0) {
-    const Time sample = now - it->second.sent_at;
-    if (it->second.retx == 0 || sample > srtt_or_initial(sp)) sp.rtt.sample(sample);
+  if (u->sent_at >= 0) {
+    const Time sample = now - u->sent_at;
+    if (u->retx == 0 || sample > srtt_or_initial(sp)) sp.rtt.sample(sample);
   }
   // Smoothed delivery rate, feeding the paced-recovery budget. Same-instant
   // acks (a burst delivered in one event) contribute no interval; skip them.
-  const std::size_t acked_bytes = it->second.payload.size() + kStripeHeaderBytes;
+  const std::size_t acked_bytes = u->payload.size() + kStripeHeaderBytes;
   if (sp.last_ack_at >= 0 && now > sp.last_ack_at) {
     const double inst = static_cast<double>(acked_bytes) / to_seconds(now - sp.last_ack_at);
     sp.ack_rate_Bps = kAckRateAlpha * inst + (1.0 - kAckRateAlpha) * sp.ack_rate_Bps;
   }
   sp.last_ack_at = now;
 
-  const bool rack_advance =
-      it->second.subpath == idx && sp.rack.on_delivered(it->second.sent_at);
-  unacked_.erase(it);
+  const bool rack_advance = u->subpath == idx && sp.rack.on_delivered(u->sent_at);
+  unacked_.erase(seq);
   // A newer send on this subpath was just confirmed: anything older still
   // unacknowledged past the reordering window is lost — recover it now
   // instead of waiting out the RTO (RACK, DESIGN.md §13).
@@ -277,17 +276,14 @@ void StripedStream::on_ack(std::size_t idx, std::uint64_t seq) {
 void StripedStream::rack_scan(std::size_t idx) {
   const Subpath& sp = subpaths_[idx];
   const Time srtt = srtt_or_initial(sp);
-  std::vector<std::uint64_t> lost;
-  for (const auto& [seq, u] : unacked_) {
-    if (u.subpath != idx || u.sent_at < 0) continue;
-    if (sp.rack.lost(u.sent_at, srtt)) lost.push_back(seq);
-  }
-  for (std::uint64_t seq : lost) {
-    auto it = unacked_.find(seq);
-    if (it == unacked_.end()) continue;
-    if (resend(seq, it->second, idx) != Resend::kSent) break;
+  unacked_.for_each([&](std::uint64_t seq, Unacked& u) {
+    if (u.subpath != idx || u.sent_at < 0 || !sp.rack.lost(u.sent_at, srtt)) {
+      return true;
+    }
+    if (resend(seq, u, idx) != Resend::kSent) return false;
     ++stats_.rack_retransmits;
-  }
+    return true;
+  });
   arm_tick();
 }
 
@@ -340,13 +336,12 @@ void StripedStream::kill_subpath(std::size_t idx, const char* why) {
 }
 
 void StripedStream::redistribute_from(std::size_t idx) {
-  for (auto& [seq, u] : unacked_) {
-    if (u.subpath != idx) continue;
+  unacked_.for_each([&](std::uint64_t seq, Unacked& u) {
     // Budget exhausted (the leftovers keep pointing at the dead subpath
     // and the tick scan moves them as the budget refills) or raced to
     // zero survivors.
-    if (resend(seq, u, idx) != Resend::kSent) return;
-  }
+    return u.subpath != idx || resend(seq, u, idx) == Resend::kSent;
+  });
 }
 
 void StripedStream::arm_tick() {
@@ -360,8 +355,8 @@ void StripedStream::tick() {
   const Time now = sim_.now();
   refill_pace_budget();
   std::vector<bool> expired(subpaths_.size(), false);
-  for (auto& [seq, u] : unacked_) {
-    if (u.sent_at < 0) continue;
+  unacked_.for_each([&](std::uint64_t seq, Unacked& u) {
+    if (u.sent_at < 0) return true;
     Subpath& usp = subpaths_[u.subpath];
     const bool orphaned =
         usp.dead || (usp.st_rms != nullptr && usp.st_rms->failed());
@@ -372,7 +367,7 @@ void StripedStream::tick() {
       // fails, the substream's failure callback kills the subpath and
       // redistributes everything queued on it.
       u.sent_at = now;
-      continue;
+      return true;
     }
     if (!orphaned) {
       // Karn's rule, second half: each retransmission doubles the RTO.
@@ -381,13 +376,13 @@ void StripedStream::tick() {
       // becomes a retransmit storm that feeds its own congestion.
       const Time rto = std::min(kMaxRto, usp.rtt.rto(kMinRto, kMaxRto, kMaxRto)
                                              << std::min<std::uint32_t>(u.retx, 6));
-      if (now - u.sent_at < rto) continue;
+      if (now - u.sent_at < rto) return true;
       expired[u.subpath] = true;
     }
     // Orphaned sends (paced redistribution left them on a dead subpath)
     // move immediately; live-path expiries charge the same budget.
-    if (resend(seq, u, u.subpath) == Resend::kNoSurvivor) break;
-  }
+    return resend(seq, u, u.subpath) != Resend::kNoSurvivor;
+  });
   // One strike per scan round per subpath, however many sends expired on
   // it: death declaration is time-based (rounds), not count-based.
   for (std::size_t i = 0; i < subpaths_.size(); ++i) {
@@ -436,7 +431,7 @@ void StripeEndpoint::on_message(rms::Message msg) {
     return;
   }
   PeerState& ps = peers_[{msg.source.host, *stripe}];
-  if (*seq < ps.next_expected || ps.buffer.count(*seq) != 0) {
+  if (*seq < ps.next_expected || ps.buffer.contains(*seq)) {
     ++stats_.duplicates;  // a retransmit's extra copy
     return;
   }
@@ -448,11 +443,11 @@ void StripeEndpoint::on_message(rms::Message msg) {
   out.sent_at = *client_sent_at;
 
   if (*seq != ps.next_expected) {
-    if (ps.buffer.size() >= kReorderWindow) {
+    if (*seq - ps.next_expected > kReorderWindow) {
       ++stats_.window_overflow;  // the exactly-once guarantee just broke
       return;
     }
-    ps.buffer.emplace(*seq, std::move(out));
+    ps.buffer.insert(*seq, std::move(out));
     ++stats_.buffered;
     return;
   }
@@ -462,13 +457,13 @@ void StripeEndpoint::on_message(rms::Message msg) {
   if (p != nullptr) p->deliver(std::move(out), sim_.now());
   ++stats_.delivered;
   ++ps.next_expected;
-  auto it = ps.buffer.begin();
-  while (it != ps.buffer.end() && it->first == ps.next_expected) {
-    rms::Port* bp = ports_.find(it->second.target.port);
-    if (bp != nullptr) bp->deliver(std::move(it->second), sim_.now());
+  while (!ps.buffer.empty() && ps.buffer.front_seq() == ps.next_expected) {
+    rms::Message next = std::move(ps.buffer.front());
+    ps.buffer.erase(ps.next_expected);
+    rms::Port* bp = ports_.find(next.target.port);
+    if (bp != nullptr) bp->deliver(std::move(next), sim_.now());
     ++stats_.delivered;
     ++ps.next_expected;
-    it = ps.buffer.erase(it);
   }
 }
 

@@ -38,6 +38,7 @@
 #include "rms/rms.h"
 #include "sim/simulator.h"
 #include "st/st.h"
+#include "util/seq_window.h"
 #include "util/time.h"
 
 namespace dash::path {
@@ -138,9 +139,9 @@ class StripedStream final : public rms::Rms {
   PathManager* pm_;
   rms::Label target_;
   std::vector<Subpath> subpaths_;
-  // Ordered map: the retransmit scan and redistribution iterate it, and
-  // iteration order must be deterministic for reproducible runs.
-  std::map<std::uint64_t, Unacked> unacked_;
+  // Walked in sequence order by the retransmit scan and redistribution,
+  // so runs are reproducible.
+  SeqWindow<Unacked> unacked_;
   std::uint64_t stripe_id_ = 0;
   std::uint64_t next_seq_ = 1;
   sim::TimerHandle tick_timer_;
@@ -158,7 +159,7 @@ class StripeEndpoint {
     std::uint64_t delivered = 0;
     std::uint64_t duplicates = 0;        ///< retransmit copies discarded
     std::uint64_t buffered = 0;          ///< arrived ahead of a gap
-    std::uint64_t window_overflow = 0;   ///< reorder window full: dropped
+    std::uint64_t window_overflow = 0;   ///< beyond the reorder window: dropped
     std::uint64_t malformed = 0;
   };
 
@@ -172,7 +173,7 @@ class StripeEndpoint {
  private:
   struct PeerState {
     std::uint64_t next_expected = 1;
-    std::map<std::uint64_t, rms::Message> buffer;  ///< by global seq
+    SeqWindow<rms::Message> buffer;  ///< by global seq
   };
   void on_message(rms::Message msg);
 

@@ -6,11 +6,12 @@
 // model, "blocking" is a kWouldBlock status plus an on_writable callback.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
 
-#include "util/bytes.h"
+#include "util/buffer.h"
 #include "util/result.h"
 
 namespace dash::transport {
@@ -24,7 +25,7 @@ class IpcPort {
 
   /// Queues data for the send protocol; kWouldBlock if the limit would be
   /// exceeded (the sending process must wait for on_writable).
-  Status write(Bytes data) {
+  Status write(Buffer data) {
     if (!can_write(data.size())) {
       ++blocked_;
       writer_waiting_ = true;
@@ -37,23 +38,29 @@ class IpcPort {
   }
 
   /// The send protocol reads up to `max` bytes (message boundaries within
-  /// the port are not significant for a byte-stream protocol).
-  Bytes read(std::size_t max) {
-    Bytes out;
-    while (!queue_.empty() && out.size() < max) {
-      Bytes& front = queue_.front();
-      const std::size_t take = std::min(max - out.size(), front.size());
-      out.insert(out.end(), front.begin(),
-                 front.begin() + static_cast<std::ptrdiff_t>(take));
-      if (take == front.size()) {
-        queue_.pop_front();
-      } else {
-        front.erase(front.begin(), front.begin() + static_cast<std::ptrdiff_t>(take));
+  /// the port are not significant for a byte-stream protocol). A chunk that
+  /// lies inside one write is a slice of it; only a chunk spanning writes
+  /// is copied, into one block.
+  Buffer read(std::size_t max) {
+    const std::size_t total = std::min(max, buffered_);
+    Buffer out;
+    if (total == 0) return out;
+    if (queue_.front().size() >= total) {
+      out = queue_.front().slice(0, total);
+      consume(total);
+    } else {
+      BufferWriter w(total);
+      while (w.pos() < total) {
+        const Buffer& front = queue_.front();
+        const std::size_t take = std::min(total - w.pos(), front.size());
+        w.bytes(front.view().first(take));
+        consume(take);
       }
+      out = w.finish();
     }
-    buffered_ -= out.size();
+    buffered_ -= total;
     // Wake a writer that was previously turned away, now that space freed.
-    if (writer_waiting_ && out.size() > 0 && on_writable_) {
+    if (writer_waiting_ && on_writable_) {
       writer_waiting_ = false;
       on_writable_();
     }
@@ -72,9 +79,19 @@ class IpcPort {
   bool empty() const { return buffered_ == 0; }
 
  private:
+  /// Drops the first `n` bytes of the oldest write.
+  void consume(std::size_t n) {
+    Buffer& front = queue_.front();
+    if (n == front.size()) {
+      queue_.pop_front();
+    } else {
+      front = front.slice(n, front.size() - n);
+    }
+  }
+
   std::size_t limit_;
   std::size_t buffered_ = 0;
-  std::deque<Bytes> queue_;
+  std::deque<Buffer> queue_;
   std::function<void()> on_writable_;
   std::function<void()> on_readable_;
   std::uint64_t blocked_ = 0;

@@ -1,7 +1,6 @@
 #include "transport/stream.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "util/serialize.h"
 
@@ -132,19 +131,22 @@ void StreamReceiver::handle(rms::Message msg) {
   } else if (*seq == expected_seq_) {
     accept(*seq, std::move(data));
     // Drain any stashed successors that are now in order.
-    auto it = reorder_.begin();
-    while (it != reorder_.end() && it->first == expected_seq_) {
-      reorder_bytes_ -= it->second.size();
-      Bytes next = std::move(it->second);
-      it = reorder_.erase(it);
+    while (!reorder_.empty() && reorder_.front_seq() == expected_seq_) {
+      Bytes next = std::move(reorder_.front());
+      reorder_bytes_ -= next.size();
+      reorder_.erase(expected_seq_);
       accept(expected_seq_, std::move(next));
     }
   } else if (config_.reliable) {
-    // Out of order: stash until the gap fills (retransmission).
+    // Out of order: stash until the gap fills (retransmission). Every
+    // message carries at least one byte, so a sequence number further
+    // ahead than the receive buffer holds bytes is dropped whatever the
+    // wire says: the stash never spans more than receive_buffer slots.
     ++stats_.out_of_order;
-    if (data.size() <= buffer_free() && reorder_.find(*seq) == reorder_.end()) {
+    if (*seq - expected_seq_ <= config_.receive_buffer &&
+        data.size() <= buffer_free() && !reorder_.contains(*seq)) {
       reorder_bytes_ += data.size();
-      reorder_[*seq] = std::move(data);
+      reorder_.insert(*seq, std::move(data));
     } else {
       ++stats_.dropped_overflow;
     }
@@ -165,9 +167,8 @@ void StreamReceiver::accept(std::uint64_t seq, Bytes data) {
   // retransmitted anyway). Otherwise a full stash starves the one message
   // that could drain it — deadlock.
   while (data.size() > buffer_free() && !reorder_.empty()) {
-    auto last = std::prev(reorder_.end());
-    reorder_bytes_ -= last->second.size();
-    reorder_.erase(last);
+    reorder_bytes_ -= reorder_.back().size();
+    reorder_.erase(reorder_.back_seq());
     ++stats_.dropped_overflow;
   }
   if (data.size() > buffer_free()) {
@@ -261,6 +262,9 @@ StreamSender::StreamSender(st::SubtransportLayer& st, rms::PortRegistry& ports,
     }
   }
 
+  fast_acks_ = data_st_ != nullptr && (config_.capacity == CapacityMode::kAckBased ||
+                                       config_.capacity == CapacityMode::kModel);
+  cum_acked_ = config_.reliable || config_.receiver_flow_control;
   rack_ = cc::RackState(config_.cc.rack);
   current_rto_ = base_rto();
   // Until the first ack advertises the real window, assume only one
@@ -275,7 +279,7 @@ StreamSender::~StreamSender() {
   sim_.cancel(pump_timer_);
 }
 
-Status StreamSender::write(Bytes data) {
+Status StreamSender::write(Buffer data) {
   if (data_rms_ == nullptr) return creation_error_;
   if (data_rms_->failed()) return make_error(Errc::kRmsFailed, "data RMS failed");
   const std::size_t size = data.size();
@@ -289,7 +293,7 @@ Status StreamSender::write(Bytes data) {
 }
 
 bool StreamSender::drained() const {
-  return port_.empty() && (!config_.reliable || unacked_.empty());
+  return port_.empty() && (!config_.reliable || window_.empty());
 }
 
 void StreamSender::maybe_drained() {
@@ -338,29 +342,27 @@ void StreamSender::pump() {
   maybe_drained();
 }
 
-void StreamSender::send_chunk(Bytes chunk) {
+void StreamSender::send_chunk(Buffer chunk) {
   const std::uint64_t seq = next_seq_++;
   Buffer wire = data_wire(seq, chunk);
 
   const std::size_t size = chunk.size();
-  if (config_.reliable || config_.receiver_flow_control) {
-    unacked_[seq] = Unacked{std::move(chunk), sim_.now(), sim_.now(), 0};
-    flight_bytes_ += size;
-  }
   if (enforcer_ != nullptr) enforcer_->note_sent(size);
-  // App-limited when this send empties the backlog: its delivery rate
-  // measures the application, not the path, and must not shrink the model.
-  if (model_ != nullptr) model_->on_packet_sent(seq, size, port_.empty());
+  if (cum_acked_ || fast_acks_) {
+    InFlight& entry = window_.insert(
+        seq, InFlight{std::move(chunk), sim_.now(), sim_.now(), 0, fast_acks_, {}});
+    // App-limited when this send empties the backlog: its delivery rate
+    // measures the application, not the path, and must not shrink the model.
+    if (model_ != nullptr) entry.sample = model_->on_packet_sent(size, port_.empty());
+  }
+  if (cum_acked_) flight_bytes_ += size;
 
   rms::Message m;
   m.data = std::move(wire);
   ++stats_.messages_sent;
   stats_.bytes_sent += size;
 
-  if ((config_.capacity == CapacityMode::kAckBased ||
-       config_.capacity == CapacityMode::kModel) &&
-      data_st_ != nullptr) {
-    fast_ack_sizes_[seq] = size;
+  if (fast_acks_) {
     (void)data_st_->send_acked(std::move(m), seq);
   } else {
     (void)data_rms_->send(std::move(m));
@@ -368,22 +370,27 @@ void StreamSender::send_chunk(Bytes chunk) {
   if (config_.reliable) arm_rto();
 }
 
+void StreamSender::release_charge(InFlight& entry) {
+  if (enforcer_ != nullptr) enforcer_->note_acked(entry.data.size());
+  entry.charge_pending = false;
+}
+
 void StreamSender::on_fast_ack(std::uint64_t seq) {
-  auto it = fast_ack_sizes_.find(seq);
-  if (it == fast_ack_sizes_.end()) return;  // already released by a cum ack
-  if (enforcer_ != nullptr) enforcer_->note_acked(it->second);
-  fast_ack_sizes_.erase(it);
-  if (model_ != nullptr) {
-    // Feed the delivery-rate sampler; the unambiguous RTT (if any) also
-    // seeds the RTO estimator — a fast ack crosses the same network both
-    // ways, so it bounds the cum-ack round trip from below.
-    (void)model_->on_packet_acked(seq);
-    auto ua = unacked_.find(seq);
-    if (ua != unacked_.end() && rack_.on_delivered(ua->second.last_sent)) {
-      // A newer send was just confirmed delivered: anything transmitted a
-      // reordering window earlier and still outstanding is lost.
-      rack_scan();
-    }
+  InFlight* entry = window_.find(seq);
+  if (entry == nullptr || !entry->charge_pending) return;  // released by a cum ack
+  release_charge(*entry);
+  if (model_ != nullptr && entry->sample) {
+    (void)model_->on_packet_acked(*entry->sample);  // delivery-rate sample
+    entry->sample.reset();
+  }
+  const Time last_sent = entry->last_sent;
+  // Without cumulative acks, the fast ack resolves the send.
+  if (!cum_acked_) window_.erase(seq);
+  // RACK: a newer send was just confirmed delivered, so anything sent a
+  // reordering window earlier and still outstanding is lost (kModel
+  // retransmits it; an unreliable stream gives it up).
+  if ((model_ != nullptr || !config_.reliable) && rack_.on_delivered(last_sent)) {
+    rack_scan();
   }
   pump();
 }
@@ -400,21 +407,26 @@ void StreamSender::sample_rtt(Time rtt) {
 }
 
 void StreamSender::rack_scan() {
-  if (!config_.reliable || model_ == nullptr) return;
-  const Time srtt = rtt_.valid() ? rtt_.srtt() : model_->min_rtt();
-  std::vector<std::uint64_t> lost;
-  for (const auto& [seq, entry] : unacked_) {
+  const Time srtt = rtt_.valid()        ? rtt_.srtt()
+                    : model_ != nullptr ? model_->min_rtt()
+                                        : 0;
+  window_.for_each([&](std::uint64_t seq, InFlight& entry) {
     // Entries with no pending fast-ack charge were already delivered to
     // the peer's ST; only undelivered sends can be RACK-lost.
-    if (fast_ack_sizes_.find(seq) == fast_ack_sizes_.end()) continue;
-    if (rack_.lost(entry.last_sent, srtt)) lost.push_back(seq);
-  }
-  for (std::uint64_t seq : lost) {
-    auto it = unacked_.find(seq);
-    if (it == unacked_.end()) continue;
-    ++stats_.rack_retransmits;
-    retransmit(seq, it->second);
-  }
+    if (!entry.charge_pending || !rack_.lost(entry.last_sent, srtt)) return true;
+    if (config_.reliable) {
+      ++stats_.rack_retransmits;
+      retransmit(seq, entry);
+      return true;
+    }
+    // Unreliable: the loss is final. Its charge would otherwise stay
+    // pending forever (no fast ack will come) and, a loss at a time,
+    // fill the capacity window until the stream stops for good.
+    release_charge(entry);
+    if (cum_acked_) flight_bytes_ -= std::min(flight_bytes_, entry.data.size());
+    window_.erase(seq);
+    return true;
+  });
 }
 
 void StreamSender::handle_ack(rms::Message msg) {
@@ -434,28 +446,23 @@ void StreamSender::handle_ack(rms::Message msg) {
   // and would produce an RTO smaller than a healthy ack round trip.
   Time rtt_sample = -1;
   if (*cum != ~0ull) {
-    auto it = unacked_.begin();
-    while (it != unacked_.end() && it->first <= *cum) {
-      flight_bytes_ -= std::min(flight_bytes_, it->second.data.size());
-      stats_.acked_bytes += it->second.data.size();
-      if (it->second.retx == 0) rtt_sample = sim_.now() - it->second.first_sent;
+    while (!window_.empty() && window_.front_seq() <= *cum) {
+      InFlight& entry = window_.front();
+      flight_bytes_ -= std::min(flight_bytes_, entry.data.size());
+      stats_.acked_bytes += entry.data.size();
+      if (entry.retx == 0) rtt_sample = sim_.now() - entry.first_sent;
       // A cumulatively-acknowledged message is certainly out of the RMS;
       // if its fast ack was lost, release the capacity charge here instead
       // of leaking it (which would wedge the enforcer permanently).
-      auto fa = fast_ack_sizes_.find(it->first);
-      if (fa != fast_ack_sizes_.end()) {
-        if (enforcer_ != nullptr && (config_.capacity == CapacityMode::kAckBased ||
-                                     config_.capacity == CapacityMode::kModel)) {
-          enforcer_->note_acked(fa->second);
-          // Keep the sampler's books consistent, but a cum ack's timing
-          // says nothing about the data path — no rate sample from it.
-          if (model_ != nullptr) {
-            (void)model_->on_packet_acked(it->first, /*rtt_eligible=*/false);
-          }
+      if (entry.charge_pending) {
+        release_charge(entry);
+        // Keep the sampler's books consistent, but a cum ack's timing
+        // says nothing about the data path — no rate sample from it.
+        if (model_ != nullptr && entry.sample) {
+          (void)model_->on_packet_acked(*entry.sample, /*rtt_eligible=*/false);
         }
-        fast_ack_sizes_.erase(fa);
       }
-      it = unacked_.erase(it);
+      window_.erase(window_.front_seq());
       progress = true;
     }
   }
@@ -477,7 +484,7 @@ void StreamSender::arm_rto() {
   // One timer guards the *oldest* unacked message. Re-arming on every send
   // would let a continuously-sending stream postpone retransmission
   // forever while a lost message stalls the receiver.
-  if (unacked_.empty() || sim_.timer_active(rto_timer_)) return;
+  if (window_.empty() || sim_.timer_active(rto_timer_)) return;
   rto_timer_ = sim_.timer_after(current_rto_, [this] { rto_fire(); });
 }
 
@@ -490,34 +497,32 @@ Buffer StreamSender::data_wire(std::uint64_t seq, BytesView chunk) const {
   return w.finish();
 }
 
-void StreamSender::retransmit(std::uint64_t seq, Unacked& entry) {
+void StreamSender::retransmit(std::uint64_t seq, InFlight& entry) {
   Buffer wire = data_wire(seq, entry.data);
   // Ack-based/model capacity: if the seq's original charge is still
   // pending (no fast ack yet), the retransmitted copy rides it. If the
   // charge was already released (the original arrived but the transport
   // ack raced the RTO), the copy is new in-network data and must
   // re-charge.
-  const bool fast_acked = config_.capacity == CapacityMode::kAckBased ||
-                          config_.capacity == CapacityMode::kModel;
+  const bool shaped = config_.capacity == CapacityMode::kRateBased ||
+                      config_.capacity == CapacityMode::kTokenBucket;
   if (enforcer_ != nullptr) {
-    if (config_.capacity == CapacityMode::kRateBased ||
-        config_.capacity == CapacityMode::kTokenBucket) {
+    if (shaped) {
       enforcer_->note_sent(entry.data.size());
-    } else if (fast_acked &&
-               fast_ack_sizes_.find(seq) == fast_ack_sizes_.end()) {
+    } else if (fast_acks_ && !entry.charge_pending) {
       enforcer_->note_sent(entry.data.size());
-      fast_ack_sizes_[seq] = entry.data.size();
+      entry.charge_pending = true;
     }
   }
   entry.last_sent = sim_.now();
   ++entry.retx;
-  if (model_ != nullptr) model_->on_packet_retransmitted(seq);
+  if (model_ != nullptr && entry.sample) model_->on_packet_retransmitted(*entry.sample);
   rms::Message m;
   m.data = std::move(wire);
   ++stats_.messages_sent;
   ++stats_.retransmissions;
   stats_.bytes_sent += entry.data.size();
-  if (fast_acked && data_st_ != nullptr) {
+  if (fast_acks_) {
     (void)data_st_->send_acked(std::move(m), seq);
   } else {
     (void)data_rms_->send(std::move(m));
@@ -525,23 +530,24 @@ void StreamSender::retransmit(std::uint64_t seq, Unacked& entry) {
 }
 
 void StreamSender::rto_fire() {
-  if (unacked_.empty()) return;
+  if (window_.empty()) return;
   if (data_rms_ == nullptr || data_rms_->failed()) return;
 
   // Go-back from the oldest unacked, but pace the burst: re-blasting the
   // whole backlog at once just overruns the same buffers again.
   constexpr int kRetransmitBurst = 16;
   int sent = 0;
-  for (auto& [seq, entry] : unacked_) {
-    if (sent >= kRetransmitBurst) break;
+  window_.for_each([&](std::uint64_t seq, InFlight& entry) {
+    if (sent >= kRetransmitBurst) return false;
     if ((config_.capacity == CapacityMode::kRateBased ||
          config_.capacity == CapacityMode::kTokenBucket) &&
         enforcer_ != nullptr && !enforcer_->can_send(entry.data.size())) {
-      break;  // retransmissions also respect the shaping envelope
+      return false;  // retransmissions also respect the shaping envelope
     }
     retransmit(seq, entry);
     ++sent;
-  }
+    return true;
+  });
   current_rto_ =
       std::min<Time>(current_rto_ * 2, config_.max_rto);  // exponential backoff
   arm_rto();

@@ -21,8 +21,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
+#include <optional>
 
 #include "cc/enforcer.h"
 #include "cc/rack.h"
@@ -30,6 +30,7 @@
 #include "st/st.h"
 #include "transport/enforcer.h"
 #include "transport/ipc_port.h"
+#include "util/seq_window.h"
 
 namespace dash::transport {
 
@@ -100,7 +101,7 @@ class StreamReceiver {
     std::uint64_t bytes = 0;             ///< in-order bytes accepted
     std::uint64_t duplicates = 0;        ///< retransmissions of old data
     std::uint64_t out_of_order = 0;      ///< buffered (reliable) or gap (not)
-    std::uint64_t dropped_overflow = 0;  ///< receive buffer full
+    std::uint64_t dropped_overflow = 0;  ///< receive buffer full, or too far ahead
     std::uint64_t acks_sent = 0;
     std::uint64_t ack_channel_resets = 0;  ///< failed reverse RMS re-opened
   };
@@ -136,7 +137,7 @@ class StreamReceiver {
 
   std::uint64_t expected_seq_ = 0;
   Bytes buffered_;  ///< in-order, unconsumed (slow-client mode)
-  std::map<std::uint64_t, Bytes> reorder_;  ///< out-of-order stash (reliable)
+  SeqWindow<Bytes> reorder_;  ///< out-of-order stash (reliable)
   std::size_t reorder_bytes_ = 0;
 
   // Reverse path for acks, created on first data message.
@@ -179,7 +180,7 @@ class StreamSender {
 
   /// Client write with sender flow control (kWouldBlock when the IPC port
   /// is full; resume via on_writable).
-  Status write(Bytes data);
+  Status write(Buffer data);
   void on_writable(std::function<void()> cb) { port_.on_writable(std::move(cb)); }
 
   /// All written data sent and (if reliable) acknowledged.
@@ -208,18 +209,32 @@ class StreamSender {
   Time srtt() const { return rtt_.valid() ? rtt_.srtt() : -1; }
 
  private:
+  /// Everything the sender knows about one sequence number, from its
+  /// first send until it is resolved: cumulatively acknowledged (reliable
+  /// and flow-controlled streams), or fast-acked or declared lost (the
+  /// others).
+  struct InFlight {
+    Buffer data;                 ///< the chunk, a slice of the client's write
+    Time first_sent = 0;
+    Time last_sent = 0;          ///< most recent (re)transmission (RACK, Karn)
+    int retx = 0;
+    bool charge_pending = false; ///< capacity charge awaiting its fast ack
+    /// kModel: the delivery-rate sampler's view of the send, until acked.
+    std::optional<cc::DeliveryRateSampler::Snapshot> sample;
+  };
+
   void pump();
-  void send_chunk(Bytes chunk);
+  void send_chunk(Buffer chunk);
   void handle_ack(rms::Message msg);
   void on_fast_ack(std::uint64_t seq);
+  void release_charge(InFlight& entry);
   void sample_rtt(Time rtt);
   Time base_rto() const;
   void rack_scan();
-  struct Unacked;
   /// Encodes one data wire (header + `chunk`) with the data RMS's
   /// send_headroom() reserved, so its header can be written in place.
   Buffer data_wire(std::uint64_t seq, BytesView chunk) const;
-  void retransmit(std::uint64_t seq, Unacked& entry);
+  void retransmit(std::uint64_t seq, InFlight& entry);
   void arm_rto();
   void rto_fire();
   void maybe_drained();
@@ -240,22 +255,20 @@ class StreamSender {
   std::unique_ptr<CapacityEnforcer> enforcer_;
   AckBasedEnforcer* ack_enforcer_ = nullptr;  ///< view of enforcer_ when ack-based
   cc::ModelEnforcer* model_ = nullptr;        ///< view of enforcer_ when model-based
+  /// Sends are fast-acked by the ST (ack-based and model capacity).
+  bool fast_acks_ = false;
+  /// Sends stay in the window until a cumulative ack (reliable or
+  /// receiver-flow-controlled streams) and count in flight_bytes_.
+  bool cum_acked_ = false;
   std::uint64_t next_seq_ = 0;
-  struct Unacked {
-    Bytes data;
-    Time first_sent;
-    Time last_sent;  ///< most recent (re)transmission (RACK, Karn)
-    int retx = 0;
-  };
-  std::map<std::uint64_t, Unacked> unacked_;
-  std::map<std::uint64_t, std::size_t> fast_ack_sizes_;  ///< seq -> bytes awaiting fast ack
+  SeqWindow<InFlight> window_;
   std::size_t flight_bytes_ = 0;
   std::uint64_t receiver_window_ = ~0ull;
   sim::TimerHandle rto_timer_;  ///< guards the oldest unacked message
   sim::TimerHandle pump_timer_; ///< pacer/rate wake-up for a blocked pump
   Time current_rto_ = 0;
   cc::RttEstimator rtt_;        ///< SRTT/RTTVAR for the adaptive RTO
-  cc::RackState rack_;          ///< time-based loss detection (kModel)
+  cc::RackState rack_;          ///< time-based loss detection (kModel, unreliable)
   bool pump_scheduled_ = false;
   bool in_pump_ = false;
   std::function<void()> on_drained_;

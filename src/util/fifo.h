@@ -26,6 +26,9 @@ class Fifo {
     ++size_;
   }
 
+  /// The i-th oldest element. Precondition: i < size().
+  T& operator[](std::size_t i) { return slots_[(head_ + i) & (slots_.size() - 1)]; }
+
   /// Removes and returns the oldest element. Precondition: !empty().
   T pop() {
     T out = std::move(slots_[head_]);

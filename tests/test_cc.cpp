@@ -72,15 +72,14 @@ TEST(RttEstimator, Rfc6298SmoothedRtoWithClamps) {
 
 TEST(DeliveryRateSampler, MeasuresDeliveredOverFlightInterval) {
   DeliveryRateSampler s;
-  s.on_sent(1, 1000, msec(0), /*app_limited=*/false);
-  auto smp = s.on_ack(1, msec(10));
+  const auto sent = s.on_sent(1000, msec(0), /*app_limited=*/false);
+  auto smp = s.on_ack(sent, msec(10));
   ASSERT_TRUE(smp.has_value());
   EXPECT_EQ(smp->rtt, msec(10));
   EXPECT_NEAR(smp->bw_Bps, 100'000.0, 1.0);  // 1000 B over 10 ms
   EXPECT_FALSE(smp->app_limited);
   EXPECT_EQ(s.delivered_bytes(), 1000u);
   EXPECT_EQ(s.acked(), 1u);
-  EXPECT_EQ(s.tracked(), 0u);
 }
 
 TEST(DeliveryRateSampler, AckAggregationDoesNotOverReport) {
@@ -88,26 +87,24 @@ TEST(DeliveryRateSampler, AckAggregationDoesNotOverReport) {
   // interval covers both deliveries, so the measured rate is the true
   // aggregate, not double-counted per ack.
   DeliveryRateSampler s;
-  s.on_sent(1, 1000, msec(0), false);
-  s.on_sent(2, 1000, msec(0), false);
-  ASSERT_TRUE(s.on_ack(1, msec(10)).has_value());
-  auto smp = s.on_ack(2, msec(10));
+  const auto first = s.on_sent(1000, msec(0), false);
+  const auto second = s.on_sent(1000, msec(0), false);
+  ASSERT_TRUE(s.on_ack(first, msec(10)).has_value());
+  auto smp = s.on_ack(second, msec(10));
   ASSERT_TRUE(smp.has_value());
   EXPECT_NEAR(smp->bw_Bps, 200'000.0, 1.0);  // 2000 B over the same 10 ms
 }
 
 TEST(DeliveryRateSampler, KarnAmbiguityAndLateAcksYieldNoSample) {
   DeliveryRateSampler s;
-  s.on_sent(1, 1000, msec(0), false);
-  s.on_retransmit(1, msec(5));
-  EXPECT_FALSE(s.on_ack(1, msec(10)).has_value());  // ambiguous (Karn)
-  EXPECT_EQ(s.delivered_bytes(), 1000u);            // delivery still counted
+  auto first = s.on_sent(1000, msec(0), false);
+  DeliveryRateSampler::on_retransmit(first, msec(5));
+  EXPECT_FALSE(s.on_ack(first, msec(10)).has_value());  // ambiguous (Karn)
+  EXPECT_EQ(s.delivered_bytes(), 1000u);                // delivery still counted
 
-  s.on_sent(2, 500, msec(20), false);
-  EXPECT_FALSE(s.on_ack(2, msec(30), /*rtt_eligible=*/false).has_value());
+  const auto second = s.on_sent(500, msec(20), false);
+  EXPECT_FALSE(s.on_ack(second, msec(30), /*rtt_eligible=*/false).has_value());
   EXPECT_EQ(s.delivered_bytes(), 1500u);
-
-  EXPECT_FALSE(s.on_ack(99, msec(40)).has_value());  // unknown id
 }
 
 // -------------------------------------------------------------------- Pacer

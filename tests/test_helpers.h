@@ -16,6 +16,16 @@
 #include "sim/cpu_scheduler.h"
 #include "sim/simulator.h"
 #include "st/st.h"
+#include "util/alloc_count.h"
+
+/// Skips an allocation-counting test in a binary built without the
+/// counting allocator.
+#define REQUIRE_ALLOC_COUNT()                                  \
+  do {                                                         \
+    if (!::dash::alloc_count::instrumented()) {                \
+      GTEST_SKIP() << "counting allocator absent";             \
+    }                                                          \
+  } while (0)
 
 /// Skips a test where the environment forbids loopback UDP sockets
 /// (sandboxed CI), using the backend's own capability probe.

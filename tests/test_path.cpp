@@ -751,6 +751,54 @@ TEST(Stripe, FragmentedPayloadsSurviveLoss) {
   EXPECT_GT(stripe->stats().retransmits, 0u);
 }
 
+TEST(Stripe, HostileSequenceNumberIsDroppedInConstantSpace) {
+  // A stripe message claiming a global sequence number 2^40 past the next
+  // expected one lies outside the reorder window: it is dropped and
+  // counted without the buffer spanning the gap, and in-order delivery
+  // carries on.
+  REQUIRE_ALLOC_COUNT();
+  TwoNetWorld world(2);
+  StripeEndpoint endpoint(world.sim, world.host(2).ports);
+  rms::Port inbox;
+  world.host(2).ports.bind(kStripeTarget, &inbox);
+  auto stripe = make_stripe(world);
+  ASSERT_NE(stripe, nullptr);
+
+  constexpr int kMessages = 100;
+  StripedStream* raw = stripe.get();
+  for (int i = 0; i < kMessages / 2; ++i) {
+    world.sim.at(msec(2) * (i + 1), [raw, i] { (void)raw->send(numbered(i)); });
+  }
+  world.sim.run_until(sec(1));
+  ASSERT_EQ(endpoint.stats().delivered, static_cast<std::uint64_t>(kMessages / 2));
+
+  BufferWriter w(kStripeHeaderBytes + 2);
+  w.u64(stripe->stripe_id());
+  w.u64(kMessages / 2 + 1 + (std::uint64_t{1} << 40));
+  w.u64(kStripeTarget);
+  w.i64(0);
+  w.bytes(to_bytes("-1"));
+  rms::Message hostile;
+  hostile.data = w.finish();
+  hostile.source = rms::Label{1, kStripePort};
+  rms::Port* port = world.host(2).ports.find(kStripePort);
+  ASSERT_NE(port, nullptr);
+  alloc_count::Scope scope;
+  port->deliver(std::move(hostile), world.sim.now());
+  EXPECT_LT(scope.allocations(), 8u);  // parsing, not a 2^40-slot buffer
+  EXPECT_EQ(endpoint.stats().window_overflow, 1u);
+
+  const Time resume = world.sim.now();
+  for (int i = kMessages / 2; i < kMessages; ++i) {
+    world.sim.at(resume + msec(2) * (i + 1), [raw, i] { (void)raw->send(numbered(i)); });
+  }
+  world.sim.run_until(sec(3));
+  const std::vector<int> got = collect_ints(inbox);
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kMessages));
+  for (int i = 0; i < kMessages; ++i) ASSERT_EQ(got[i], i) << "at " << i;
+  EXPECT_EQ(endpoint.stats().delivered, static_cast<std::uint64_t>(kMessages));
+}
+
 // Fault-parameterized invariant suite: every fault kind below runs against
 // ten seeds, and the invariant is always the same — 500 messages, exactly
 // once, in order, with the transfer completing (goodput degrades under

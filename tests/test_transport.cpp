@@ -31,7 +31,7 @@ TEST(IpcPort, ReadFreesSpaceAndWakesWriter) {
   port.on_writable([&] { ++wakeups; });
   ASSERT_TRUE(port.write(patterned_bytes(100)).ok());
   EXPECT_FALSE(port.write(patterned_bytes(10)).ok());
-  const Bytes out = port.read(30);
+  const Buffer out = port.read(30);
   EXPECT_EQ(out.size(), 30u);
   EXPECT_EQ(wakeups, 1);
   EXPECT_TRUE(port.write(patterned_bytes(10)).ok());
@@ -212,6 +212,68 @@ TEST(Stream, UnreliableTransferLosesButNeverRetransmits) {
   EXPECT_EQ(f.sender->stats().retransmissions, 0u);
   EXPECT_LT(f.received.size(), payload.size());  // losses stay lost
   EXPECT_GT(f.received.size(), payload.size() / 2);
+}
+
+TEST(Stream, UnreliableAckBasedStreamSurvivesLoss) {
+  // Ack-based capacity charges every send until its ST fast ack returns;
+  // a lost message's fast ack never does. Without loss detection each
+  // loss leaked its charge until the 16 KB window was full of lost
+  // messages and the stream stopped for good (after ~440 KB of 2 MB).
+  auto traits = net::ethernet_traits();
+  traits.bit_error_rate = 5e-6;
+  StreamConfig cfg;
+  cfg.reliable = false;
+  cfg.capacity = CapacityMode::kAckBased;
+  cfg.receiver_flow_control = false;
+  constexpr std::uint64_t kCapacity = 16384;
+  StreamFixture f(cfg, traits, /*seed=*/9, bulk_data_request(kCapacity, 1024));
+  ASSERT_TRUE(f.sender->ok());
+  const Bytes payload = patterned_bytes(2'000'000, 5);
+  f.feed(payload);
+  f.world.sim.run_until(sec(60));
+  EXPECT_LE(f.sender->capacity_outstanding(), kCapacity);
+  // The whole payload went out, and all but the lost messages arrived.
+  EXPECT_EQ(f.sender->stats().bytes_written, payload.size());
+  EXPECT_TRUE(f.sender->drained());
+  EXPECT_GT(f.received.size(), payload.size() * 9 / 10);
+  EXPECT_EQ(f.sender->stats().retransmissions, 0u);
+}
+
+TEST(Stream, HostileSequenceNumberIsDroppedInConstantSpace) {
+  // A data message claiming a sequence number 2^40 ahead must not make the
+  // reorder stash span the gap: it is dropped and counted, and in-order
+  // delivery carries on.
+  REQUIRE_ALLOC_COUNT();
+  StreamFixture f;
+  ASSERT_TRUE(f.sender->ok());
+  const Bytes first = patterned_bytes(4'000, 3);
+  ASSERT_TRUE(f.sender->write(first).ok());
+  f.world.sim.run_until(sec(5));
+  ASSERT_EQ(f.received, first);
+  const std::uint64_t dropped = f.receiver->stats().dropped_overflow;
+
+  BufferWriter w(1 + 8 + 8 + 16);
+  w.u8(1);  // data
+  w.u64(f.receiver->stats().messages + (std::uint64_t{1} << 40));
+  w.u64(0);  // ack port: the receiver's ack path is already open
+  w.bytes(patterned_bytes(16, 9));
+  rms::Message hostile;
+  hostile.data = w.finish();
+  hostile.source = rms::Label{1, 0};
+  rms::Port* port = f.world.host(2).ports.find(60);
+  ASSERT_NE(port, nullptr);
+  alloc_count::Scope scope;
+  port->deliver(std::move(hostile), f.world.sim.now());
+  EXPECT_LT(scope.allocations(), 32u);  // an ack, not a 2^40-slot stash
+  EXPECT_EQ(f.receiver->stats().dropped_overflow, dropped + 1);
+
+  const Bytes second = patterned_bytes(4'000, 4);
+  ASSERT_TRUE(f.sender->write(second).ok());
+  f.world.sim.run_until(sec(10));
+  Bytes expected = first;
+  append(expected, second);
+  EXPECT_EQ(f.received, expected);
+  EXPECT_TRUE(f.sender->drained());
 }
 
 TEST(Stream, SenderFlowControlBlocksAndResumes) {

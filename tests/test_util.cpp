@@ -1,6 +1,8 @@
 // Unit tests for src/util: checksums, crypto, RNG, serialization, stats,
-// time, Result, and the FIFO ring.
+// time, Result, the FIFO ring and the sequence window.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "util/bytes.h"
 #include "util/checksum.h"
@@ -8,6 +10,7 @@
 #include "util/fifo.h"
 #include "util/result.h"
 #include "util/rng.h"
+#include "util/seq_window.h"
 #include "util/serialize.h"
 #include "util/stats.h"
 #include "util/time.h"
@@ -302,6 +305,85 @@ TEST(Fifo, KeepsOrderAcrossWrapAndGrowth) {
   EXPECT_EQ(q.size(), static_cast<std::size_t>(next_in - next_out));
   while (!q.empty()) ASSERT_EQ(q.pop(), next_out++);
   EXPECT_EQ(next_out, next_in);
+}
+
+// ---------------------------------------------------------- sequence window
+
+std::vector<std::uint64_t> live_seqs(SeqWindow<int>& w) {
+  std::vector<std::uint64_t> out;
+  w.for_each([&out](std::uint64_t seq, int&) {
+    out.push_back(seq);
+    return true;
+  });
+  return out;
+}
+
+TEST(SeqWindow, OutOfOrderEraseKeepsTheRestAndPopsTheHead) {
+  SeqWindow<int> w;
+  for (std::uint64_t s = 10; s < 15; ++s) w.insert(s, static_cast<int>(s) * 2);
+  w.erase(12);  // a hole in the middle stays a hole
+  EXPECT_EQ(w.size(), 4u);
+  EXPECT_EQ(w.find(12), nullptr);
+  ASSERT_NE(w.find(13), nullptr);
+  EXPECT_EQ(*w.find(13), 26);
+  EXPECT_EQ(w.front_seq(), 10u);
+
+  w.erase(11);
+  w.erase(10);  // head resolved: the window pops past the hole at 12
+  EXPECT_EQ(w.front_seq(), 13u);
+  EXPECT_EQ(w.front(), 26);
+  w.erase(14);  // tail resolved
+  EXPECT_EQ(w.back_seq(), 13u);
+  w.erase(99);  // absent: no-op
+  w.erase(13);
+  EXPECT_TRUE(w.empty());
+  EXPECT_EQ(w.find(13), nullptr);
+}
+
+TEST(SeqWindow, GrowsOnEitherSideAndIteratesInOrder) {
+  SeqWindow<int> w;
+  w.insert(100, 1);
+  w.insert(104, 2);  // grows forward over empty slots
+  w.insert(97, 3);   // and backward below the head
+  w.insert(102, 4);
+  EXPECT_EQ(w.size(), 4u);
+  EXPECT_EQ(w.front_seq(), 97u);
+  EXPECT_EQ(w.back_seq(), 104u);
+  EXPECT_TRUE(w.contains(102));
+  EXPECT_FALSE(w.contains(101));
+  EXPECT_FALSE(w.contains(96));
+  EXPECT_EQ(live_seqs(w), (std::vector<std::uint64_t>{97, 100, 102, 104}));
+
+  // An emptied window restarts wherever the next insert lands.
+  w.clear();
+  w.insert(std::uint64_t{1} << 40, 5);
+  EXPECT_EQ(w.front_seq(), std::uint64_t{1} << 40);
+  EXPECT_EQ(w.size(), 1u);
+}
+
+TEST(SeqWindow, WalkToleratesErasureAndStopsOnFalse) {
+  SeqWindow<int> w;
+  for (std::uint64_t s = 0; s < 8; ++s) w.insert(s, static_cast<int>(s));
+  std::vector<std::uint64_t> seen;
+  w.for_each([&](std::uint64_t seq, int&) {
+    seen.push_back(seq);
+    w.erase(seq);      // the head, every step
+    w.erase(seq + 1);  // and its successor, before the walk reaches it
+    return true;
+  });
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 2, 4, 6}));
+  EXPECT_TRUE(w.empty());
+
+  for (std::uint64_t s = 0; s < 8; ++s) w.insert(s, static_cast<int>(s));
+  seen.clear();
+  w.for_each([&](std::uint64_t seq, int& v) {
+    seen.push_back(seq);
+    v = -1;
+    return seq < 3;
+  });
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  EXPECT_EQ(*w.find(3), -1);
+  EXPECT_EQ(*w.find(4), 4);
 }
 
 // ---------------------------------------------------------------- stats
