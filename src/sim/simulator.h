@@ -142,18 +142,7 @@ class Simulator {
   bool step() {
     Entry* e = peek();
     if (e == nullptr) return false;
-    now_ = e->time;
-    Task fn;
-    if (e->slot != kNoSlot) {
-      fn = std::move(slots_[e->slot].fn);
-      release_slot(e->slot);
-    } else {
-      fn = std::move(e->fn);
-    }
-    drop_front();
-    --live_;
-    ++stats_.executed;
-    fn();
+    execute(*e);
     return true;
   }
 
@@ -165,11 +154,7 @@ class Simulator {
 
   /// Runs events with time <= t, then advances the clock to exactly t.
   void run_until(Time t) {
-    for (;;) {
-      Entry* e = peek();
-      if (e == nullptr || e->time > t) break;
-      step();
-    }
+    for (Entry* e = peek(); e != nullptr && e->time <= t; e = peek()) execute(*e);
     if (now_ < t) now_ = t;
   }
 
@@ -379,6 +364,23 @@ class Simulator {
   void drop_front() {
     --stored_;
     ++pos_;
+  }
+
+  /// Runs `e`, the entry peek() just returned, and removes it: each event
+  /// costs one peek.
+  void execute(Entry& e) {
+    now_ = e.time;
+    Task fn;
+    if (e.slot != kNoSlot) {
+      fn = std::move(slots_[e.slot].fn);
+      release_slot(e.slot);
+    } else {
+      fn = std::move(e.fn);
+    }
+    drop_front();
+    --live_;
+    ++stats_.executed;
+    fn();
   }
 
   Time now_ = 0;

@@ -42,6 +42,26 @@ BufferWriter control_writer(std::size_t body_bytes) {
   return BufferWriter(body_bytes, netrms::kHeaderBytes);
 }
 
+/// Encodes a kCreateRequest or kPrepareRequest for ST stream `st_id`: the
+/// receiver's demux entry (client port, security) plus the name of the
+/// fabric the data channel lives on, so the receiver returns fast acks
+/// over the same network (shared fate with the data path).
+Buffer encode_create_request(ControlType type, std::uint64_t req_id,
+                             std::uint64_t st_id, std::uint64_t port,
+                             std::uint8_t security,
+                             const netrms::NetRmsFabric* fabric) {
+  const Bytes fabric_name = to_bytes(
+      fabric != nullptr ? std::string_view(fabric->traits().name) : std::string_view{});
+  BufferWriter w = control_writer(kCreateRequestBytes + fabric_name.size());
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u64(req_id);
+  w.u64(st_id);
+  w.u64(port);
+  w.u8(security);
+  w.sized_bytes(fabric_name);
+  return w.finish();
+}
+
 }  // namespace
 
 // ===================================================================== StRms
@@ -335,26 +355,9 @@ Result<std::unique_ptr<rms::Rms>> SubtransportLayer::create(const rms::Request& 
                    });
 
   for (Candidate& c : candidates) {
-    auto channel = obtain_channel(target.host, *c.fabric, c.plan);
-    if (!channel) {
-      last_error = channel.error();
-      continue;
-    }
-    const std::uint64_t id = next_st_id_++;
-    auto handle = std::unique_ptr<StRms>(new StRms(*this, id, target.host,
-                                                   c.plan.actual, target,
-                                                   c.plan.security, request));
-    handle->channel_id_ = channel.value()->id;
-    streams_[id] = handle.get();
-    ++stats_.st_rms_created;
-    trace("st.create",
-          "stream " + std::to_string(id) + " -> " + rms::to_string(target) + " [" +
-              rms::to_string(handle->params()) + "] via " +
-              c.fabric->traits().name);
-
-    establish(*handle);
-    if (observer_ != nullptr) observer_->on_stream_created(*handle);
-    return std::unique_ptr<rms::Rms>(std::move(handle));
+    auto opened = open_stream(*c.fabric, c.plan, request, target, false);
+    if (opened) return opened;
+    last_error = opened.error();
   }
   ++stats_.st_rms_rejected;
   return last_error;
@@ -377,21 +380,28 @@ Result<std::unique_ptr<rms::Rms>> SubtransportLayer::create_on(
     ++stats_.st_rms_rejected;
     return plan.error();
   }
-  auto channel = obtain_channel(target.host, fabric, plan.value());
-  if (!channel) {
-    ++stats_.st_rms_rejected;
-    return channel.error();
-  }
+  auto opened = open_stream(fabric, plan.value(), request, target, true);
+  if (!opened) ++stats_.st_rms_rejected;
+  return opened;
+}
+
+Result<std::unique_ptr<rms::Rms>> SubtransportLayer::open_stream(
+    netrms::NetRmsFabric& fabric, const StParamsPlan& plan, const rms::Request& request,
+    const Label& target, bool pinned) {
+  auto channel = obtain_channel(target.host, fabric, plan);
+  if (!channel) return channel.error();
   const std::uint64_t id = next_st_id_++;
-  auto handle = std::unique_ptr<StRms>(new StRms(*this, id, target.host,
-                                                 plan.value().actual, target,
-                                                 plan.value().security, request));
+  auto handle = std::unique_ptr<StRms>(
+      new StRms(*this, id, target.host, plan.actual, target, plan.security, request));
   handle->channel_id_ = channel.value()->id;
   streams_[id] = handle.get();
   ++stats_.st_rms_created;
-  trace("st.create", "stream " + std::to_string(id) + " -> " +
-                         rms::to_string(target) + " pinned to " +
-                         fabric.traits().name);
+  trace("st.create",
+        pinned ? "stream " + std::to_string(id) + " -> " + rms::to_string(target) +
+                     " pinned to " + fabric.traits().name
+               : "stream " + std::to_string(id) + " -> " + rms::to_string(target) +
+                     " [" + rms::to_string(handle->params()) + "] via " +
+                     fabric.traits().name);
   establish(*handle);
   if (observer_ != nullptr) observer_->on_stream_created(*handle);
   return std::unique_ptr<rms::Rms>(std::move(handle));
@@ -475,14 +485,9 @@ void SubtransportLayer::ensure_control_out(PeerState& ps) {
     // after a failover even when the original network is silently dead.
     netrms::NetRmsFabric* preferred =
         observer_->preferred_control_fabric(ps.peer, ps.fabric);
-    if (preferred != nullptr && preferred != ps.fabric) {
-      ps.fabric = preferred;
-      if (ps.control_out != nullptr) {
-        ps.control_out.reset();
-        ++stats_.control_channels_reset;
-        trace("st.control", "control channel to host " + std::to_string(ps.peer) +
-                                " migrated to " + preferred->traits().name);
-      }
+    if (preferred != nullptr && move_control(ps, *preferred)) {
+      trace("st.control", "control channel to host " + std::to_string(ps.peer) +
+                              " migrated to " + preferred->traits().name);
     }
   }
   if (ps.control_out == nullptr &&
@@ -507,6 +512,15 @@ void SubtransportLayer::ensure_control_out(PeerState& ps) {
   ps.control_out = std::move(created).value();
 }
 
+bool SubtransportLayer::move_control(PeerState& ps, netrms::NetRmsFabric& fabric) {
+  if (ps.fabric == &fabric) return false;
+  ps.fabric = &fabric;
+  if (ps.control_out == nullptr) return false;
+  ps.control_out.reset();
+  ++stats_.control_channels_reset;
+  return true;
+}
+
 void SubtransportLayer::send_control(PeerState& ps, Buffer payload) {
   if (ps.control_out != nullptr && ps.control_out->failed()) {
     // The network RMS under the control channel died (network failure or
@@ -518,13 +532,16 @@ void SubtransportLayer::send_control(PeerState& ps, Buffer payload) {
                             " failed; re-establishing");
   }
   ensure_control_out(ps);
-  if (ps.control_out == nullptr) return;
+  if (ps.control_out != nullptr) post_control(*ps.control_out, ps.peer, std::move(payload));
+}
+
+void SubtransportLayer::post_control(rms::Rms& out, HostId peer, Buffer payload) {
   rms::Message m;
   m.data = std::move(payload);
-  m.target = Label{ps.peer, kControlPort};
+  m.target = Label{peer, kControlPort};
   m.source = Label{host_, kControlPort};
   ++stats_.control_messages;
-  (void)ps.control_out->send(std::move(m));
+  (void)out.send(std::move(m));
 }
 
 netrms::NetRmsFabric* SubtransportLayer::fabric_named(BytesView name) const {
@@ -558,12 +575,7 @@ void SubtransportLayer::send_control_on(PeerState& ps, netrms::NetRmsFabric& fab
     if (!created) return;
     ch = std::move(created).value();
   }
-  rms::Message m;
-  m.data = std::move(payload);
-  m.target = Label{ps.peer, kControlPort};
-  m.source = Label{host_, kControlPort};
-  ++stats_.control_messages;
-  (void)ch->send(std::move(m));
+  post_control(*ch, ps.peer, std::move(payload));
 }
 
 void SubtransportLayer::send_request_with_retry(HostId peer, Buffer payload,
@@ -574,9 +586,7 @@ void SubtransportLayer::send_request_with_retry(HostId peer, Buffer payload,
   auto pending = ps.pending_replies.find(req_id);
   if (pending == ps.pending_replies.end()) return;  // already answered
   if (attempts == 0) {
-    auto cb = std::move(pending->second.cb);
-    ps.pending_replies.erase(pending);
-    cb(false);  // gave up
+    complete_request(ps, req_id, false);  // gave up
     return;
   }
   if (attempts < config_.control_retries) ++stats_.control_retries;
@@ -648,6 +658,15 @@ void SubtransportLayer::ensure_authenticated(PeerState& ps, std::function<void()
   send_request_with_retry(ps.peer, w.finish(), req_id, config_.control_retries);
 }
 
+void SubtransportLayer::complete_request(PeerState& ps, std::uint64_t req_id, bool ok) {
+  auto it = ps.pending_replies.find(req_id);
+  if (it == ps.pending_replies.end()) return;  // duplicate or late reply
+  sim_.cancel(it->second.retry_timer);
+  auto cb = std::move(it->second.cb);
+  ps.pending_replies.erase(it);
+  cb(ok);
+}
+
 void SubtransportLayer::establish(StRms& rms) {
   PeerState& ps = peer_state(rms.peer_);
   const std::uint64_t id = rms.id_;
@@ -658,19 +677,9 @@ void SubtransportLayer::establish(StRms& rms) {
     PeerState& state = peer_state(stream.peer_);
 
     const std::uint64_t req_id = state.next_request++;
-    // Name the fabric the data channel lives on, so the receiver returns
-    // fast acks over the same network (shared fate with the data path).
-    netrms::NetRmsFabric* data_fabric = stream_fabric(stream.id_);
-    const Bytes fabric_name =
-        to_bytes(data_fabric != nullptr ? data_fabric->traits().name : std::string{});
-    BufferWriter w = control_writer(kCreateRequestBytes + fabric_name.size());
-    w.u8(static_cast<std::uint8_t>(ControlType::kCreateRequest));
-    w.u64(req_id);
-    w.u64(stream.id_);
-    w.u64(stream.target_.port);
-    w.u8(stream.security_);
-    w.sized_bytes(fabric_name);
-
+    Buffer request =
+        encode_create_request(ControlType::kCreateRequest, req_id, id,
+                              stream.target_.port, stream.security_, stream_fabric(id));
     state.pending_replies[req_id].cb = [this, id](bool ok) {
       auto it = streams_.find(id);
       if (it == streams_.end()) return;
@@ -689,13 +698,17 @@ void SubtransportLayer::establish(StRms& rms) {
         replay_handoff(s);
         if (observer_ != nullptr) observer_->on_stream_rebound(s, s.rebind_downgraded_);
       }
-      auto pending = std::move(s.pending_);
-      s.pending_.clear();
-      for (auto& p : pending) emit(s, std::move(p.msg), p.ack_id, p.acked);
+      drain_pending(s);
     };
-
-    send_request_with_retry(state.peer, w.finish(), req_id, config_.control_retries);
+    send_request_with_retry(state.peer, std::move(request), req_id,
+                            config_.control_retries);
   });
+}
+
+void SubtransportLayer::drain_pending(StRms& rms) {
+  auto pending = std::move(rms.pending_);
+  rms.pending_.clear();
+  for (auto& p : pending) emit(rms, std::move(p.msg), p.ack_id, p.acked);
 }
 
 // ---------------------------------------------------------------- failover
@@ -739,42 +752,40 @@ Status SubtransportLayer::rebind_stream(std::uint64_t stream_id,
     return channel.error();
   }
 
-  // Leave the old channel without a kDelete: the stream lives on, and the
-  // re-establishment below refreshes the receiver's demux entry in place
+  // The re-establishment refreshes the receiver's demux entry in place
   // (preserving its next_expected_seq for replay dedup).
+  switch_channel(rms, channel.value()->id, fabric, plan.value(), "");
+  rms.established_ = false;
+  rms.rebinding_ = true;
+  establish(rms);
+  return Status::ok_status();
+}
+
+void SubtransportLayer::switch_channel(StRms& rms, std::uint64_t channel_id,
+                                       netrms::NetRmsFabric& fabric,
+                                       const StParamsPlan& plan, const char* how) {
+  // Leave the old channel without a kDelete: the stream lives on.
   detach_channel(rms);
 
   const rms::Params old_params = rms.params();
-  rms.channel_id_ = channel.value()->id;
-  rms.security_ = plan.value().security;
-  rms.reset_params(plan.value().actual);
+  rms.channel_id_ = channel_id;
+  rms.security_ = plan.security;
+  rms.reset_params(plan.actual);
   const bool downgraded = !rms::compatible(rms.params(), old_params);
   rms.rebind_downgraded_ = downgraded;
   if (downgraded) {
     ++stats_.rebind_downgrades;
     if (rms.downgrade_cb_) rms.downgrade_cb_(old_params, rms.params());
   }
-  rms.established_ = false;
-  rms.rebinding_ = true;
 
-  // Move the peer's control channel onto the new network too: the old one
-  // may be silently dead, and re-establishment needs a working
-  // request/reply path.
-  PeerState& ps = peer_state(rms.peer_);
-  if (ps.fabric != &fabric) {
-    ps.fabric = &fabric;
-    if (ps.control_out != nullptr) {
-      ps.control_out.reset();
-      ++stats_.control_channels_reset;
-    }
-  }
+  // Control traffic follows the stream: the old network may be silently
+  // dead, and establishment replies and fast acks must keep flowing.
+  move_control(peer_state(rms.peer_), fabric);
 
   ++stats_.streams_rebound;
-  trace("st.rebind", "stream " + std::to_string(stream_id) + " -> " +
-                         fabric.traits().name +
+  trace("st.rebind", "stream " + std::to_string(rms.id_) + " -> " +
+                         fabric.traits().name + how +
                          (downgraded ? " (downgraded)" : ""));
-  establish(rms);
-  return Status::ok_status();
 }
 
 // ------------------------------------------------- make-before-break rebind
@@ -825,19 +836,14 @@ Status SubtransportLayer::prepare_rebind(std::uint64_t stream_id,
     auto stream_it = streams_.find(id);
     if (staged_it == staged_.end() || stream_it == streams_.end()) return;
     StRms& stream = *stream_it->second;
+    StagedRebind& sr = staged_it->second;
     PeerState& state = peer_state(stream.peer_);
 
     const std::uint64_t req_id = state.next_request++;
-    staged_it->second.req_id = req_id;
-    const Bytes fabric_name = to_bytes(staged_it->second.fabric->traits().name);
-    BufferWriter w = control_writer(kCreateRequestBytes + fabric_name.size());
-    w.u8(static_cast<std::uint8_t>(ControlType::kPrepareRequest));
-    w.u64(req_id);
-    w.u64(stream.id_);
-    w.u64(stream.target_.port);
-    w.u8(staged_it->second.plan.security);
-    w.sized_bytes(fabric_name);
-
+    sr.req_id = req_id;
+    Buffer request =
+        encode_create_request(ControlType::kPrepareRequest, req_id, id,
+                              stream.target_.port, sr.plan.security, sr.fabric);
     state.pending_replies[req_id].cb = [this, id, req_id](bool ok) {
       auto it = staged_.find(id);
       if (it == staged_.end()) return;  // aborted while in flight
@@ -855,7 +861,7 @@ Status SubtransportLayer::prepare_rebind(std::uint64_t stream_id,
       }
     };
 
-    send_request_with_retry(state.peer, w.finish(), req_id,
+    send_request_with_retry(state.peer, std::move(request), req_id,
                             config_.control_retries);
   });
   return Status::ok_status();
@@ -891,49 +897,19 @@ Status SubtransportLayer::commit_rebind(std::uint64_t stream_id) {
     // capacity share and ref count before falling back to the slow path —
     // the channel entry may still exist (a network RMS can fail without
     // fail_channel_streams having pruned the staging).
-    drop_staged_channel(sr, stream_id);
+    if (cit != channels_.end()) leave_channel(*cit->second, sr.plan.actual.capacity);
     return make_error(Errc::kRmsFailed, "staged channel died before commit");
   }
 
-  // The switch itself: leave the old channel (no kDelete — the stream
-  // lives on) and adopt the staged one. The peer confirmed it during
-  // prepare, so establishment state is untouched and the handoff buffer
-  // replays immediately — no negotiation RTT.
-  detach_channel(rms);
-
-  const rms::Params old_params = rms.params();
-  rms.channel_id_ = sr.channel_id;
-  rms.security_ = sr.plan.security;
-  rms.reset_params(sr.plan.actual);
-  const bool downgraded = !rms::compatible(rms.params(), old_params);
-  rms.rebind_downgraded_ = downgraded;
-  if (downgraded) {
-    ++stats_.rebind_downgrades;
-    if (rms.downgrade_cb_) rms.downgrade_cb_(old_params, rms.params());
-  }
-
-  // Control traffic follows the stream: the old network may be silently
-  // dead, and acks/replies must keep flowing.
-  PeerState& ps = peer_state(rms.peer_);
-  if (ps.fabric != sr.fabric) {
-    ps.fabric = sr.fabric;
-    if (ps.control_out != nullptr) {
-      ps.control_out.reset();
-      ++stats_.control_channels_reset;
-    }
-  }
-
+  // The peer confirmed the staged channel during prepare, so establishment
+  // state is untouched and the handoff buffer replays immediately — no
+  // negotiation RTT.
   ++stats_.rebinds_committed;
-  ++stats_.streams_rebound;
-  trace("st.rebind", "stream " + std::to_string(stream_id) + " -> " +
-                         sr.fabric->traits().name + " (hitless)" +
-                         (downgraded ? " (downgraded)" : ""));
+  switch_channel(rms, sr.channel_id, *sr.fabric, sr.plan, " (hitless)");
   if (rms.established_) {
     replay_handoff(rms);
-    auto pending = std::move(rms.pending_);
-    rms.pending_.clear();
-    for (auto& p : pending) emit(rms, std::move(p.msg), p.ack_id, p.acked);
-    if (observer_ != nullptr) observer_->on_stream_rebound(rms, downgraded);
+    drain_pending(rms);
+    if (observer_ != nullptr) observer_->on_stream_rebound(rms, rms.rebind_downgraded_);
   } else {
     // Commit raced the very first establishment; finish it on the new home.
     establish(rms);
@@ -948,29 +924,8 @@ void SubtransportLayer::abort_rebind(std::uint64_t stream_id) {
   staged_.erase(it);
   ++stats_.rebinds_aborted;
   trace("st.prepare", "stream " + std::to_string(stream_id) + " staged rebind aborted");
-  drop_staged_channel(sr, stream_id);
-}
-
-void SubtransportLayer::drop_staged_channel(const StagedRebind& sr,
-                                            std::uint64_t stream_id) {
-  (void)stream_id;
   auto cit = channels_.find(sr.channel_id);
-  if (cit == channels_.end()) return;
-  Channel& ch = *cit->second;
-  // Mirror detach_channel for a stream that never carried data on the
-  // channel: return the staged capacity share and cache or release when the
-  // last user leaves.
-  ch.capacity_used -= std::min(ch.capacity_used, sr.plan.actual.capacity);
-  if (--ch.ref_count > 0) return;
-  if (config_.enable_caching && ch.net_rms != nullptr && !ch.net_rms->failed()) {
-    ch.cached = true;
-    const std::uint64_t id = ch.id;
-    sim_.cancel(ch.cache_timer);
-    ch.cache_timer = sim_.timer_after(config_.cache_idle_timeout,
-                                      [this, id] { expire_channel(id); });
-  } else {
-    release_channel(ch);
-  }
+  if (cit != channels_.end()) leave_channel(*cit->second, sr.plan.actual.capacity);
 }
 
 // --------------------------------------------------------------- send path
@@ -982,14 +937,7 @@ Status SubtransportLayer::submit(StRms& rms, rms::Message msg, std::uint64_t ack
   msg.source = Label{host_, rms.id_};
   msg.target = rms.target_;
   if (acked && (fast_ack_rtt_hist_ != nullptr || observer_ != nullptr)) {
-    rms.ack_sent_at_.emplace(ack_id, sim_.now());
-    rms.ack_order_.push_back(ack_id);
-    // Every map key is also in ack_order_, so bounding the deque bounds
-    // both containers even when the peer never acknowledges.
-    while (rms.ack_order_.size() > StRms::kMaxTrackedAcks) {
-      rms.ack_sent_at_.erase(rms.ack_order_.front());
-      rms.ack_order_.pop_front();
-    }
+    rms.track_ack(ack_id, sim_.now());
   }
   if (!rms.established_) {
     rms.pending_.push_back(StRms::PendingSend{std::move(msg), ack_id, acked});
@@ -1011,12 +959,7 @@ void SubtransportLayer::emit(StRms& rms, rms::Message msg, std::uint64_t ack_id,
       acked = true;
       // Internal handoff acks double as data-RTT probes for the path
       // manager; client-requested acks were already tracked in submit.
-      rms.ack_sent_at_.emplace(ack_id, sim_.now());
-      rms.ack_order_.push_back(ack_id);
-      while (rms.ack_order_.size() > StRms::kMaxTrackedAcks) {
-        rms.ack_sent_at_.erase(rms.ack_order_.front());
-        rms.ack_order_.pop_front();
-      }
+      rms.track_ack(ack_id, sim_.now());
     }
     StRms::HandoffEntry entry{seq, ack_id, msg};  // copy shares the refcounted buffer
     rms.handoff_bytes_ += entry.msg.size();
@@ -1382,55 +1325,22 @@ void SubtransportLayer::handle_control(rms::Message msg) {
         return;
       }
       ps.peer_verified = true;
-      auto it = ps.pending_replies.find(*req_id);
-      if (it != ps.pending_replies.end()) {
-        sim_.cancel(it->second.retry_timer);
-        auto cb = std::move(it->second.cb);
-        ps.pending_replies.erase(it);
-        cb(true);
-      }
+      complete_request(ps, *req_id, true);
       break;
     }
-    case ControlType::kCreateRequest: {
-      auto req_id = r.u64();
-      auto st_id = r.u64();
-      auto port = r.u64();
-      auto security = r.u8();
-      if (!req_id || !st_id || !port || !security) return;
-      const bool trusted = ps.fabric != nullptr && ps.fabric->traits().trusted;
-      const bool ok = ps.peer_verified || trusted;
-      if (ok) {
-        // Re-establishment after a path failover arrives as a second
-        // kCreateRequest for the same (src, st_id). Preserve the entry's
-        // next_expected_seq so replayed messages this side already
-        // delivered are dropped as stale — the no-duplication half of the
-        // failover guarantee. A reassembly from the old network can never
-        // complete, so discard it.
-        auto [eit, inserted] = demux_.try_emplace({src, *st_id});
-        DemuxEntry& entry = eit->second;
-        if (!inserted) discard_partial(entry);
-        entry.src = src;
-        entry.st_id = *st_id;
-        entry.target = Label{host_, *port};
-        entry.security = *security;
-        if (auto net_name = r.sized_bytes()) {
-          entry.ack_fabric = fabric_named(*net_name);
-        }
-      }
-      BufferWriter w = control_writer(1 + 8 + 8 + 1);
-      w.u8(static_cast<std::uint8_t>(ControlType::kCreateReply));
-      w.u64(*req_id);
-      w.u64(*st_id);
-      w.u8(ok ? 1 : 0);
-      send_control(ps, w.finish());
-      break;
-    }
+    case ControlType::kCreateRequest:
     case ControlType::kPrepareRequest: {
-      // Make-before-break staging: same as kCreateRequest, but data is
-      // still flowing on the old channel, so an in-progress reassembly may
-      // yet complete — refresh the entry without discarding it. The reply
-      // reuses kCreateReply (the sender's request/reply plumbing matches on
-      // request id, not type).
+      // A re-establishment after a path failover (kCreateRequest) or a
+      // make-before-break staging (kPrepareRequest) arrives as a second
+      // request for the same (src, st_id). Both refresh the entry in place,
+      // preserving its next_expected_seq so replayed messages this side
+      // already delivered are dropped as stale — the no-duplication half of
+      // the failover guarantee. They differ in one thing: after a
+      // re-establishment a reassembly from the old network can never
+      // complete, so it is discarded; during a staging data still flows on
+      // the old channel, so it may yet finish. Both are answered with
+      // kCreateReply (the sender matches replies on request id, not type).
+      const bool discard = static_cast<ControlType>(*type) == ControlType::kCreateRequest;
       auto req_id = r.u64();
       auto st_id = r.u64();
       auto port = r.u64();
@@ -1440,8 +1350,8 @@ void SubtransportLayer::handle_control(rms::Message msg) {
       const bool ok = ps.peer_verified || trusted;
       if (ok) {
         auto [eit, inserted] = demux_.try_emplace({src, *st_id});
-        (void)inserted;
         DemuxEntry& entry = eit->second;
+        if (!inserted && discard) discard_partial(entry);
         entry.src = src;
         entry.st_id = *st_id;
         entry.target = Label{host_, *port};
@@ -1463,13 +1373,7 @@ void SubtransportLayer::handle_control(rms::Message msg) {
       auto st_id = r.u64();
       auto ok = r.u8();
       if (!req_id || !st_id || !ok) return;
-      auto it = ps.pending_replies.find(*req_id);
-      if (it != ps.pending_replies.end()) {
-        sim_.cancel(it->second.retry_timer);
-        auto cb = std::move(it->second.cb);
-        ps.pending_replies.erase(it);
-        cb(*ok != 0);
-      }
+      complete_request(ps, *req_id, *ok != 0);
       break;
     }
     case ControlType::kDelete: {
@@ -1773,9 +1677,12 @@ void SubtransportLayer::release_stream(StRms& rms) {
 void SubtransportLayer::detach_channel(StRms& rms) {
   auto cit = channels_.find(rms.channel_id_);
   if (cit == channels_.end()) return;
-  Channel& ch = *cit->second;
-  flush_channel(ch);
-  ch.capacity_used -= std::min(ch.capacity_used, rms.params().capacity);
+  flush_channel(*cit->second);
+  leave_channel(*cit->second, rms.params().capacity);
+}
+
+void SubtransportLayer::leave_channel(Channel& ch, std::uint64_t capacity) {
+  ch.capacity_used -= std::min(ch.capacity_used, capacity);
   if (--ch.ref_count > 0) return;
 
   if (config_.enable_caching && ch.net_rms != nullptr && !ch.net_rms->failed()) {
@@ -1864,23 +1771,13 @@ void SubtransportLayer::fail_channel_streams(std::uint64_t channel_id, const Err
   // The failure came from the network: any idle cached channel to the same
   // peer *on that network* is equally dead, so drop them instead of handing
   // them out later. Cached channels on other networks stay valid.
-  if (peer != 0) {
-    for (auto it = channels_.begin(); it != channels_.end();) {
-      if (it->second->peer == peer && it->second->cached &&
-          (fabric == nullptr || it->second->fabric == fabric)) {
-        ++stats_.cache_invalidations;
-        cancel_channel_timers(*it->second);
-        it = channels_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+  if (peer != 0) purge_cached(peer, fabric);
 }
 
-void SubtransportLayer::invalidate_peer(HostId peer) {
+void SubtransportLayer::purge_cached(HostId peer, const netrms::NetRmsFabric* fabric) {
   for (auto it = channels_.begin(); it != channels_.end();) {
-    if (it->second->peer == peer && it->second->cached) {
+    const Channel& ch = *it->second;
+    if (ch.peer == peer && ch.cached && (fabric == nullptr || ch.fabric == fabric)) {
       ++stats_.cache_invalidations;
       cancel_channel_timers(*it->second);
       it = channels_.erase(it);
@@ -1888,6 +1785,10 @@ void SubtransportLayer::invalidate_peer(HostId peer) {
       ++it;
     }
   }
+}
+
+void SubtransportLayer::invalidate_peer(HostId peer) {
+  purge_cached(peer, nullptr);
   // Forget control and authentication state: the restarted peer has lost
   // its side of the handshake, so the next conversation re-authenticates.
   // Outstanding control retransmits die with it.

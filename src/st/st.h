@@ -240,6 +240,16 @@ class StRms final : public rms::Rms {
   static constexpr std::size_t kMaxTrackedAcks = 1024;
   std::unordered_map<std::uint64_t, Time> ack_sent_at_;
   std::deque<std::uint64_t> ack_order_;
+  void track_ack(std::uint64_t ack_id, Time now) {
+    ack_sent_at_.emplace(ack_id, now);
+    ack_order_.push_back(ack_id);
+    // Every map key is also in ack_order_, so bounding the deque bounds
+    // both containers even when the peer never acknowledges.
+    while (ack_order_.size() > kMaxTrackedAcks) {
+      ack_sent_at_.erase(ack_order_.front());
+      ack_order_.pop_front();
+    }
+  }
 };
 
 class SubtransportLayer : public rms::Provider {
@@ -316,7 +326,7 @@ class SubtransportLayer : public rms::Provider {
 
   /// Make-before-break (DESIGN.md §12): stages a replacement channel for a
   /// live stream on `fabric` without touching the current one. The plan is
-  /// negotiated, the channel opened (or joined), and a kCreateRequest for
+  /// negotiated, the channel opened (or joined), and a kPrepareRequest for
   /// the same ST id sent to the peer in the background; data keeps flowing
   /// on the old channel throughout. When the peer confirms, the staged
   /// rebind becomes ready (rebind_prepared) and the observer's
@@ -489,15 +499,29 @@ class SubtransportLayer : public rms::Provider {
   PeerState& peer_state(HostId peer);
   void ensure_authenticated(PeerState& ps, std::function<void()> then);
   void ensure_control_out(PeerState& ps);
+  /// Points the peer's control traffic at `fabric`, dropping a control
+  /// channel that lives elsewhere; true if one was dropped.
+  bool move_control(PeerState& ps, netrms::NetRmsFabric& fabric);
   void send_request_with_retry(HostId peer, Buffer payload, std::uint64_t req_id,
                                int attempts);
+  /// Answers pending request `req_id`: cancels its retransmit timer and
+  /// runs its callback with `ok`. Ignores a request no longer pending.
+  void complete_request(PeerState& ps, std::uint64_t req_id, bool ok);
   Result<Channel*> obtain_channel(HostId peer, netrms::NetRmsFabric& fabric,
                                   const StParamsPlan& plan);
+  /// Opens a stream to `target` on `fabric` under `plan` and starts its
+  /// establishment (create and create_on; `pinned` picks the trace text).
+  Result<std::unique_ptr<rms::Rms>> open_stream(netrms::NetRmsFabric& fabric,
+                                                const StParamsPlan& plan,
+                                                const rms::Request& request,
+                                                const Label& target, bool pinned);
   void establish(StRms& rms);
+  /// Emits the sends queued while the stream was not established.
+  void drain_pending(StRms& rms);
 
   /// A replacement channel opened ahead of a switch (make-before-break).
   /// Holds a capacity share on `channel_id` until committed or aborted;
-  /// `ready` flips when the peer confirms the staged kCreateRequest.
+  /// `ready` flips when the peer confirms the staged kPrepareRequest.
   struct StagedRebind {
     std::uint64_t channel_id = 0;
     netrms::NetRmsFabric* fabric = nullptr;
@@ -509,9 +533,13 @@ class SubtransportLayer : public rms::Provider {
     /// stale id and must not mark the new staging ready.
     std::uint64_t req_id = 0;
   };
-  /// Detaches the staged channel's capacity share without touching the
-  /// stream (shared by abort/commit/teardown paths).
-  void drop_staged_channel(const StagedRebind& sr, std::uint64_t stream_id);
+  /// Moves `rms` onto channel `channel_id` (on `fabric`) under `plan`, for
+  /// both rebind paths: leaves the old channel, adopts the new parameters
+  /// (reporting a downgrade), moves the peer's control channel along and
+  /// traces the switch with `how` after the fabric name.
+  void switch_channel(StRms& rms, std::uint64_t channel_id,
+                      netrms::NetRmsFabric& fabric, const StParamsPlan& plan,
+                      const char* how);
 
   // send path
   /// Everything serialize_component needs to put one component on the wire.
@@ -555,6 +583,8 @@ class SubtransportLayer : public rms::Provider {
   /// Sends a control payload over a channel pinned to `fabric` (used for
   /// fast acks, which must share fate with the data path they answer).
   void send_control_on(PeerState& ps, netrms::NetRmsFabric& fabric, Buffer payload);
+  /// Wraps `payload` as a control message to `peer` and sends it on `out`.
+  void post_control(rms::Rms& out, HostId peer, Buffer payload);
   netrms::NetRmsFabric* fabric_named(BytesView name) const;
 
   // receive path
@@ -570,10 +600,13 @@ class SubtransportLayer : public rms::Provider {
 
   // teardown
   void release_stream(StRms& rms);
-  /// Removes `rms` from its data channel's accounting and caches or
-  /// releases the channel when the last stream leaves. Shared by close and
+  /// Flushes `rms`'s data channel and leaves it. Shared by close and
   /// rebind (rebind detaches without sending kDelete: the stream lives on).
   void detach_channel(StRms& rms);
+  /// Returns `capacity` to `ch` and drops one reference; the last one
+  /// caches the channel (§4.2) or releases it. Used by streams and by
+  /// staged rebinds, which never carried data on the channel.
+  void leave_channel(Channel& ch, std::uint64_t capacity);
   void release_channel(Channel& ch);
   // Per-packet call sites (flush, fast ack, fragment, reassemble) check
   // trace_ themselves so the detail string is never built when tracing is
@@ -584,6 +617,9 @@ class SubtransportLayer : public rms::Provider {
   void expire_channel(std::uint64_t channel_id);
   void cancel_channel_timers(Channel& ch);
   void fail_channel_streams(std::uint64_t channel_id, const Error& e);
+  /// Drops `peer`'s idle cached channels on `fabric`, or on every network
+  /// when `fabric` is null.
+  void purge_cached(HostId peer, const netrms::NetRmsFabric* fabric);
   void congestion_channel_streams(std::uint64_t channel_id);
 
   sim::Simulator& sim_;

@@ -49,7 +49,7 @@ enum class ControlType : std::uint8_t {
   kAuthChallenge = 1,  ///< u64 request id, u64 nonce
   kAuthResponse = 2,   ///< u64 request id, u64 nonce echo, u64 mac
   kCreateRequest = 3,  ///< u64 request id, u64 st id, u64 target port,
-                       ///< u8 security flags, params blob
+                       ///< u8 security flags, sized data-fabric name
   kCreateReply = 4,    ///< u64 request id, u64 st id, u8 ok
   kDelete = 5,         ///< u64 st id
   kFastAck = 6,        ///< u64 st id, u64 ack id

@@ -367,7 +367,9 @@ void StreamSender::send_chunk(Buffer chunk) {
   } else {
     (void)data_rms_->send(std::move(m));
   }
-  if (config_.reliable) arm_rto();
+  // On an unreliable fast-ack stream the timer guards the oldest charged
+  // send instead: see expire_unanswered.
+  if (config_.reliable || fast_acks_) arm_rto();
 }
 
 void StreamSender::release_charge(InFlight& entry) {
@@ -419,14 +421,31 @@ void StreamSender::rack_scan() {
       retransmit(seq, entry);
       return true;
     }
-    // Unreliable: the loss is final. Its charge would otherwise stay
-    // pending forever (no fast ack will come) and, a loss at a time,
-    // fill the capacity window until the stream stops for good.
-    release_charge(entry);
-    if (cum_acked_) flight_bytes_ -= std::min(flight_bytes_, entry.data.size());
-    window_.erase(seq);
+    drop_lost(seq, entry);
     return true;
   });
+}
+
+void StreamSender::drop_lost(std::uint64_t seq, InFlight& entry) {
+  // Unreliable: the loss is final. Its charge would otherwise stay pending
+  // forever (no fast ack will come) and, a loss at a time, fill the
+  // capacity window until the stream stops for good.
+  release_charge(entry);
+  if (cum_acked_) flight_bytes_ -= std::min(flight_bytes_, entry.data.size());
+  window_.erase(seq);
+}
+
+void StreamSender::expire_unanswered() {
+  // RACK needs a later send to be delivered; an outage that swallows the
+  // whole window leaves none. A charged send unanswered for a full RTO is
+  // lost too. Nothing is retransmitted.
+  const Time cutoff = sim_.now() - current_rto_;
+  window_.for_each([&](std::uint64_t seq, InFlight& entry) {
+    if (entry.charge_pending && entry.last_sent <= cutoff) drop_lost(seq, entry);
+    return true;
+  });
+  arm_rto();
+  pump();
 }
 
 void StreamSender::handle_ack(rms::Message msg) {
@@ -531,6 +550,10 @@ void StreamSender::retransmit(std::uint64_t seq, InFlight& entry) {
 
 void StreamSender::rto_fire() {
   if (window_.empty()) return;
+  if (!config_.reliable) {
+    expire_unanswered();
+    return;
+  }
   if (data_rms_ == nullptr || data_rms_->failed()) return;
 
   // Go-back from the oldest unacked, but pace the burst: re-blasting the

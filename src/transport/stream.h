@@ -231,6 +231,11 @@ class StreamSender {
   void sample_rtt(Time rtt);
   Time base_rto() const;
   void rack_scan();
+  /// Declares an unreliable stream's send lost: releases its charge and
+  /// drops its record.
+  void drop_lost(std::uint64_t seq, InFlight& entry);
+  /// Unreliable fast-ack RTO: drops every charged send older than the RTO.
+  void expire_unanswered();
   /// Encodes one data wire (header + `chunk`) with the data RMS's
   /// send_headroom() reserved, so its header can be written in place.
   Buffer data_wire(std::uint64_t seq, BytesView chunk) const;

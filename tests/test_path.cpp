@@ -408,6 +408,90 @@ TEST(Path, PrepareFailsWhenAdmissionRejectsReplacement) {
   EXPECT_EQ(got[1], 1);
 }
 
+// ----------------------------------------------------- pinned failover traces
+
+struct TracedFailover {
+  std::uint64_t trace_hash = 0;
+  std::size_t trace_records = 0;
+  std::size_t delivered = 0;
+  bool in_order = true;
+  std::uint64_t hitless = 0;
+  std::uint64_t failovers = 0;
+  std::uint64_t upgrades_back = 0;
+};
+
+/// One failover across a silent 1.2 s outage on A and back home after it
+/// heals, with one trace attached to both hosts' ST and path manager.
+TracedFailover traced_failover(const PathConfig& pc) {
+  TwoNetWorld world(2, net::ethernet_traits("eth-a"), net::ethernet_traits("eth-b"),
+                    pc);
+  world.with_faults_on_a(fault::FaultPlan().outage(msec(800), sec(2)), 7);
+  sim::Trace trace;
+  for (rms::HostId h : {1, 2}) {
+    world.st(h).set_trace(&trace);
+    world.path(h).set_trace(&trace);
+  }
+  rms::Port inbox;
+  world.host(2).ports.bind(50, &inbox);
+  auto stream = world.st(1).create(reliable_request(), {2, 50});
+  EXPECT_TRUE(stream.ok()) << stream.error().message;
+  TracedFailover out;
+  if (!stream.ok()) return out;
+
+  constexpr int kMessages = 300;
+  rms::Rms* raw = stream.value().get();
+  for (int i = 0; i < kMessages; ++i) {
+    world.sim.at(msec(10) * (i + 1), [raw, i] { (void)raw->send(numbered(i)); });
+  }
+  world.sim.run_until(sec(5));
+
+  const std::vector<int> got = collect_ints(inbox);
+  out.delivered = got.size();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    out.in_order = out.in_order && got[i] == static_cast<int>(i);
+  }
+  const std::string text = trace.to_string();
+  out.trace_hash = 0xcbf29ce484222325ull;  // FNV-1a
+  for (unsigned char c : text) {
+    out.trace_hash = (out.trace_hash ^ c) * 0x100000001b3ull;
+  }
+  out.trace_records = trace.records().size();
+  out.hitless = world.path(1).stats().hitless_switches;
+  out.failovers = world.path(1).stats().failovers;
+  out.upgrades_back = world.path(1).stats().upgrades_back;
+  return out;
+}
+
+TEST(Path, FailoverTracesArePinned) {
+  // Both runs must stay bit-identical to the recorded traces: any change to
+  // how the ST switches a stream between channels, stages one, or leaves
+  // one shows up here first. Re-record only for a change meant to move
+  // the trace, and say why.
+  PathConfig mbb;  // C11's aggressive watch
+  mbb.probe_interval = msec(50);
+  mbb.probe_timeout = msec(40);
+  mbb.degraded_after = 1;
+  mbb.unhealthy_after = 2;
+  const TracedFailover hitless = traced_failover(mbb);
+  EXPECT_EQ(hitless.delivered, 300u);
+  EXPECT_TRUE(hitless.in_order);
+  EXPECT_EQ(hitless.hitless, 1u);
+  EXPECT_EQ(hitless.upgrades_back, 1u);
+  EXPECT_EQ(hitless.trace_records, 628u);
+  EXPECT_EQ(hitless.trace_hash, 0x7435ee87e3104eecull);
+
+  PathConfig slow;  // nothing staged: failover and return renegotiate
+  slow.make_before_break = false;
+  const TracedFailover renegotiated = traced_failover(slow);
+  EXPECT_EQ(renegotiated.delivered, 300u);
+  EXPECT_TRUE(renegotiated.in_order);
+  EXPECT_EQ(renegotiated.hitless, 0u);
+  EXPECT_EQ(renegotiated.failovers, 1u);
+  EXPECT_EQ(renegotiated.upgrades_back, 1u);
+  EXPECT_EQ(renegotiated.trace_records, 622u);
+  EXPECT_EQ(renegotiated.trace_hash, 0x7d585badac467478ull);
+}
+
 TEST(Path, ShedsStreamOnDelayPressureBeforeViolation) {
   // The guarantee ledger's delay distribution feeds path selection: when a
   // watched stream's windowed p95 delay climbs toward its bound, the

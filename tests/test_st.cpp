@@ -683,6 +683,85 @@ TEST(St, PicksNetworkWherePeerIsAttached) {
   EXPECT_EQ(lan_a.stats().delivered, 0u);
 }
 
+// A fragmented message is half reassembled at the receiver when a request
+// for the same stream arrives: a re-establishment (kCreateRequest) discards
+// the partial, a make-before-break staging (kPrepareRequest) lets it finish.
+// Data rides a slow segment (1 Mb/s: 12 ms per full frame) pinned with
+// create_on; control rides a fast trusted one, so the request overtakes
+// the fragments still on the wire.
+struct HalfReassembled {
+  std::uint64_t delivered = 0;
+  std::uint64_t partials_discarded = 0;
+  bool prepared_before_delivery = false;
+  bool payload_intact = false;
+};
+
+HalfReassembled request_during_reassembly(bool prepare) {
+  sim::Simulator sim;
+  auto slow_traits = net::ethernet_traits("slow");
+  slow_traits.bits_per_second = 1'000'000;
+  auto fast_traits = net::ethernet_traits("fast");
+  fast_traits.trusted = true;
+  net::EthernetNetwork slow(sim, slow_traits, 1);
+  net::EthernetNetwork fast(sim, fast_traits, 2);
+  netrms::NetRmsFabric fab_slow(sim, slow);
+  netrms::NetRmsFabric fab_fast(sim, fast);
+  dash::testing::SimHost h1(1, sim), h2(2, sim);
+  for (auto* fab : {&fab_slow, &fab_fast}) {
+    fab->register_host(1, h1.cpu, h1.ports);
+    fab->register_host(2, h2.cpu, h2.ports);
+  }
+  SubtransportLayer st1(sim, 1, h1.cpu, h1.ports);
+  SubtransportLayer st2(sim, 2, h2.cpu, h2.ports);
+  for (auto* st : {&st1, &st2}) {
+    st->add_network(fab_slow);
+    st->add_network(fab_fast);
+  }
+
+  HalfReassembled out;
+  const Bytes payload = patterned_bytes(6000, 3);
+  rms::Port port;
+  h2.ports.bind(50, &port);
+  auto rms = st1.create_on(fab_slow, st_request(64 * 1024, 16 * 1024), {2, 50});
+  EXPECT_TRUE(rms.ok()) << rms.error().message;
+  if (!rms.ok()) return out;
+  const std::uint64_t id = dynamic_cast<StRms*>(rms.value().get())->id();
+  port.set_handler([&](rms::Message m) {
+    ++out.delivered;
+    out.payload_intact = m.data == payload;
+    out.prepared_before_delivery = st1.rebind_prepared(id);
+  });
+  sim.run_until(msec(50));  // established over the fast segment
+
+  rms::Message big;
+  big.data = payload;
+  EXPECT_TRUE(rms.value()->send(std::move(big)).ok());
+  // Five fragments take ~60 ms on the slow segment; by 75 ms two of them
+  // have landed.
+  sim.run_until(msec(75));
+  EXPECT_EQ(out.delivered, 0u);
+  EXPECT_EQ(st2.stats().partials_discarded, 0u);
+  const Status s = prepare ? st1.prepare_rebind(id, fab_fast)
+                           : st1.rebind_stream(id, fab_fast);
+  EXPECT_TRUE(s.ok()) << s.error().message;
+  sim.run_until(sec(1));
+  out.partials_discarded = st2.stats().partials_discarded;
+  return out;
+}
+
+TEST(St, ReestablishmentDiscardsPartialButStagingLetsItFinish) {
+  const HalfReassembled rebound = request_during_reassembly(/*prepare=*/false);
+  EXPECT_EQ(rebound.partials_discarded, 1u);
+  EXPECT_EQ(rebound.delivered, 0u);
+
+  const HalfReassembled staged = request_during_reassembly(/*prepare=*/true);
+  EXPECT_EQ(staged.partials_discarded, 0u);
+  EXPECT_EQ(staged.delivered, 1u);
+  EXPECT_TRUE(staged.payload_intact);
+  EXPECT_TRUE(staged.prepared_before_delivery)
+      << "the staging was not confirmed while the message was in reassembly";
+}
+
 }  // namespace
 }  // namespace dash::st
 

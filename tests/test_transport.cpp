@@ -239,6 +239,30 @@ TEST(Stream, UnreliableAckBasedStreamSurvivesLoss) {
   EXPECT_EQ(f.sender->stats().retransmissions, 0u);
 }
 
+TEST(Stream, UnreliableAckBasedStreamSurvivesOutage) {
+  // An outage loses the whole window at once, so no later send is ever
+  // delivered to let RACK declare the earlier ones lost. The RTO timer
+  // must release the stranded charges, or the stream stalls for good
+  // (after ~570 KB of 2 MB, with 16,112 of 16,384 B still charged).
+  StreamConfig cfg;
+  cfg.reliable = false;
+  cfg.capacity = CapacityMode::kAckBased;
+  cfg.receiver_flow_control = false;
+  constexpr std::uint64_t kCapacity = 16384;
+  StreamFixture f(cfg, net::ethernet_traits(), /*seed=*/9,
+                  bulk_data_request(kCapacity, 1024));
+  f.world.with_faults(fault::FaultPlan().outage(msec(500), msec(800)));
+  ASSERT_TRUE(f.sender->ok());
+  const Bytes payload = patterned_bytes(2'000'000, 5);
+  f.feed(payload);
+  f.world.sim.run_until(sec(60));
+  EXPECT_LE(f.sender->capacity_outstanding(), kCapacity);
+  EXPECT_EQ(f.sender->stats().bytes_written, payload.size());
+  EXPECT_TRUE(f.sender->drained());
+  EXPECT_LT(f.received.size(), payload.size());  // the outage's sends stay lost
+  EXPECT_EQ(f.sender->stats().retransmissions, 0u);
+}
+
 TEST(Stream, HostileSequenceNumberIsDroppedInConstantSpace) {
   // A data message claiming a sequence number 2^40 ahead must not make the
   // reorder stash span the gap: it is dropped and counted, and in-order
