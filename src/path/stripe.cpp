@@ -437,7 +437,7 @@ void StripeEndpoint::on_message(rms::Message msg) {
   }
 
   rms::Message out;
-  out.data = r.rest();
+  out.data = msg.data.slice(r.pos(), r.remaining());
   out.source = rms::Label{msg.source.host, kStripePort};
   out.target = rms::Label{msg.target.host, *port};
   out.sent_at = *client_sent_at;

@@ -173,7 +173,8 @@ void RkomNode::handle(rms::Message msg) {
     case kRequestRetry: {
       auto op = r.u64();
       if (!op) return;
-      handle_request(from, *call_id, *op, r.rest(), *type == kRequestRetry);
+      handle_request(from, *call_id, *op, msg.data.slice(r.pos(), r.remaining()),
+                     *type == kRequestRetry);
       break;
     }
     case kReply: {
@@ -194,7 +195,7 @@ void RkomNode::handle(rms::Message msg) {
 }
 
 void RkomNode::handle_request(HostId client, std::uint64_t call_id, std::uint64_t op,
-                              Bytes args, bool is_retry) {
+                              Buffer args, bool is_retry) {
   const auto key = std::make_pair(client, call_id);
   auto cached = replies_.find(key);
   if (cached != replies_.end()) {
@@ -227,7 +228,7 @@ void RkomNode::handle_request(HostId client, std::uint64_t call_id, std::uint64_
     sim_.after(operation.service_time, [this, &operation, key, is_retry] {
       auto rit = replies_.find(key);
       if (rit == replies_.end()) return;
-      const Bytes held = std::move(rit->second.args);
+      const Buffer held = std::move(rit->second.args);
       finish_request(key, is_retry, operation.handler(held));
     });
   } else {

@@ -105,14 +105,14 @@ class RkomNode {
   struct CachedReply {
     Buffer wire;  ///< shared with the reply and its retransmissions
     bool executing = false;
-    Bytes args;  ///< the request's args while its service time runs
+    Buffer args;  ///< the args (a slice of the request) while its service time runs
     sim::TimerHandle expiry_timer;  ///< cancelled when the client acks
   };
 
   Channel& channel(HostId peer);
   void handle(rms::Message msg);
   void handle_request(HostId client, std::uint64_t call_id, std::uint64_t op,
-                      Bytes args, bool is_retry);
+                      Buffer args, bool is_retry);
   /// Caches and sends the reply of an executed request.
   void finish_request(std::pair<HostId, std::uint64_t> key, bool is_retry,
                       Bytes result);

@@ -90,6 +90,61 @@ void StRms::do_close() {
   if (st_ != nullptr) st_->release_stream(*this);
 }
 
+std::uint64_t StRms::next_send_seq() {
+  const std::uint64_t seq = next_seq_++;
+  if (seq >= kMaxTrackedAcks) {
+    if (SendRecord* old = sends_.find(seq - kMaxTrackedAcks)) {
+      old->tracked_at.reset();
+      retire(seq - kMaxTrackedAcks);
+    }
+  }
+  return seq;
+}
+
+StRms::SendRecord& StRms::record(std::uint64_t seq, std::uint64_t ack_id) {
+  SendRecord* r = sends_.find(seq);
+  return r != nullptr ? *r : sends_.insert(seq, SendRecord{ack_id, std::nullopt, std::nullopt});
+}
+
+void StRms::track(std::uint64_t seq, std::uint64_t ack_id, Time now) {
+  if (!find_send(ack_id, false)) record(seq, ack_id).tracked_at = now;
+}
+
+std::optional<std::uint64_t> StRms::find_send(std::uint64_t ack_id, bool retained) {
+  auto matches = [&](const SendRecord& r) {
+    return r.ack_id == ack_id && (retained ? r.retained.has_value() : r.tracked_at.has_value());
+  };
+  if ((ack_id & kHandoffAckBit) != 0) {  // an internal id names its sequence number
+    const std::uint64_t seq = ack_id & ~kHandoffAckBit;
+    const SendRecord* r = sends_.find(seq);
+    if (r != nullptr && matches(*r)) return seq;
+    return std::nullopt;
+  }
+  std::optional<std::uint64_t> found;
+  sends_.for_each([&](std::uint64_t seq, SendRecord& r) {
+    if (matches(r)) found = seq;
+    return !found;
+  });
+  return found;
+}
+
+void StRms::drop_retained(std::uint64_t upto, bool oldest_only) {
+  sends_.for_each([&](std::uint64_t seq, SendRecord& r) {
+    if (seq > upto) return false;
+    if (!r.retained) return true;
+    --retained_;
+    retained_bytes_ -= r.retained->size();
+    r.retained.reset();
+    retire(seq);
+    return !oldest_only;
+  });
+}
+
+void StRms::retire(std::uint64_t seq) {
+  const SendRecord* r = sends_.find(seq);
+  if (r != nullptr && !r->tracked_at && !r->retained) sends_.erase(seq);
+}
+
 // ======================================================== SubtransportLayer
 
 SubtransportLayer::SubtransportLayer(sim::Simulator& sim, HostId host,
@@ -708,7 +763,7 @@ void SubtransportLayer::establish(StRms& rms) {
 void SubtransportLayer::drain_pending(StRms& rms) {
   auto pending = std::move(rms.pending_);
   rms.pending_.clear();
-  for (auto& p : pending) emit(rms, std::move(p.msg), p.ack_id, p.acked);
+  for (auto& p : pending) emit(rms, std::move(p.msg), p.seq, p.ack_id, p.acked);
 }
 
 // ---------------------------------------------------------------- failover
@@ -936,20 +991,20 @@ Status SubtransportLayer::submit(StRms& rms, rms::Message msg, std::uint64_t ack
   if (msg.sent_at < 0) msg.sent_at = sim_.now();
   msg.source = Label{host_, rms.id_};
   msg.target = rms.target_;
+  const std::uint64_t seq = rms.next_send_seq();
   if (acked && (fast_ack_rtt_hist_ != nullptr || observer_ != nullptr)) {
-    rms.track_ack(ack_id, sim_.now());
+    rms.track(seq, ack_id, sim_.now());
   }
   if (!rms.established_) {
-    rms.pending_.push_back(StRms::PendingSend{std::move(msg), ack_id, acked});
+    rms.pending_.push_back(StRms::PendingSend{std::move(msg), seq, ack_id, acked});
     return Status::ok_status();
   }
-  emit(rms, std::move(msg), ack_id, acked);
+  emit(rms, std::move(msg), seq, ack_id, acked);
   return Status::ok_status();
 }
 
-void SubtransportLayer::emit(StRms& rms, rms::Message msg, std::uint64_t ack_id,
-                             bool acked) {
-  const std::uint64_t seq = rms.next_seq_++;
+void SubtransportLayer::emit(StRms& rms, rms::Message msg, std::uint64_t seq,
+                             std::uint64_t ack_id, bool acked) {
   if (observer_ != nullptr && rms.params().quality.reliable) {
     // Failover handoff: retain the message until its fast ack arrives. A
     // message the client did not ask to acknowledge gets an internal ack
@@ -959,55 +1014,40 @@ void SubtransportLayer::emit(StRms& rms, rms::Message msg, std::uint64_t ack_id,
       acked = true;
       // Internal handoff acks double as data-RTT probes for the path
       // manager; client-requested acks were already tracked in submit.
-      rms.track_ack(ack_id, sim_.now());
+      rms.track(seq, ack_id, sim_.now());
     }
-    StRms::HandoffEntry entry{seq, ack_id, msg};  // copy shares the refcounted buffer
-    rms.handoff_bytes_ += entry.msg.size();
-    rms.handoff_.push_back(std::move(entry));
-    while (rms.handoff_.size() > config_.handoff_max_messages ||
-           rms.handoff_bytes_ > config_.handoff_max_bytes) {
-      rms.handoff_bytes_ -= rms.handoff_.front().msg.size();
-      rms.handoff_.pop_front();
+    rms.record(seq, ack_id).retained = msg;  // the copy shares the refcounted buffer
+    ++rms.retained_;
+    rms.retained_bytes_ += msg.size();
+    while (rms.retained_ > config_.handoff_max_messages ||
+           rms.retained_bytes_ > config_.handoff_max_bytes) {
+      rms.drop_retained(seq, /*oldest_only=*/true);
       ++stats_.handoff_dropped;
     }
   }
   emit_component(rms, std::move(msg), ack_id, acked, seq);
 }
 
-void SubtransportLayer::trim_handoff(StRms& rms, std::uint64_t ack_id) {
-  // Find the acknowledged entry; in-sequence delivery means everything at
-  // or below its sequence number arrived too, so the trim is cumulative.
-  std::uint64_t upto_seq = 0;
-  bool found = false;
-  for (const StRms::HandoffEntry& e : rms.handoff_) {
-    if (e.ack_id == ack_id) {
-      upto_seq = e.seq;
-      found = true;
-      break;
-    }
-  }
-  if (!found) return;
-  while (!rms.handoff_.empty() && rms.handoff_.front().seq <= upto_seq) {
-    rms.handoff_bytes_ -= rms.handoff_.front().msg.size();
-    rms.handoff_.pop_front();
-  }
-}
-
 void SubtransportLayer::replay_handoff(StRms& rms) {
   // Drop send-time tracking from the old path: acks for replayed messages
   // would otherwise attribute the failover gap to the new path's RTT.
-  rms.ack_sent_at_.clear();
-  rms.ack_order_.clear();
-  if (rms.handoff_.empty()) return;
+  rms.sends_.for_each([&rms](std::uint64_t seq, StRms::SendRecord& r) {
+    r.tracked_at.reset();
+    rms.retire(seq);
+    return true;
+  });
+  if (rms.retained_ == 0) return;
   trace("st.replay", "stream " + std::to_string(rms.id_) + ": " +
-                         std::to_string(rms.handoff_.size()) +
-                         " unacknowledged message(s)");
-  // Entries stay buffered until their re-requested fast acks arrive, so a
-  // second failover mid-replay replays again from the same buffer.
-  for (const StRms::HandoffEntry& e : rms.handoff_) {
-    ++stats_.handoff_replayed;
-    emit_component(rms, e.msg, e.ack_id, true, e.seq);
-  }
+                         std::to_string(rms.retained_) + " unacknowledged message(s)");
+  // Records stay retained until their re-requested fast acks arrive, so a
+  // second failover mid-replay replays again from the same records.
+  rms.sends_.for_each([&](std::uint64_t seq, StRms::SendRecord& r) {
+    if (r.retained) {
+      ++stats_.handoff_replayed;
+      emit_component(rms, *r.retained, r.ack_id, true, seq);
+    }
+    return true;
+  });
 }
 
 void SubtransportLayer::emit_component(StRms& rms, rms::Message msg,
@@ -1395,9 +1435,11 @@ void SubtransportLayer::handle_control(rms::Message msg) {
       StRms& stream = *it->second;
       // Any tracked ack — client-requested or internal handoff — measures
       // a data round trip over the stream's current channel.
-      if (auto sent = stream.ack_sent_at_.find(*ack_id);
-          sent != stream.ack_sent_at_.end()) {
-        const Time rtt = sim_.now() - sent->second;
+      if (auto seq = stream.find_send(*ack_id, false)) {
+        StRms::SendRecord& sent = *stream.sends_.find(*seq);
+        const Time rtt = sim_.now() - *sent.tracked_at;
+        sent.tracked_at.reset();
+        stream.retire(*seq);
         if (fast_ack_rtt_hist_ != nullptr && (*ack_id & kHandoffAckBit) == 0) {
           fast_ack_rtt_hist_->observe(static_cast<std::uint64_t>(rtt));
         }
@@ -1407,9 +1449,12 @@ void SubtransportLayer::handle_control(rms::Message msg) {
               stream.peer_,
               cit != channels_.end() ? cit->second->fabric : nullptr, rtt);
         }
-        stream.ack_sent_at_.erase(sent);
       }
-      trim_handoff(stream, *ack_id);
+      // In-sequence delivery means everything at or below the acknowledged
+      // retained message arrived too, so the trim is cumulative.
+      if (auto seq = stream.find_send(*ack_id, true)) {
+        stream.drop_retained(*seq, /*oldest_only=*/false);
+      }
       if ((*ack_id & kHandoffAckBit) != 0) {
         // Internal handoff-trim ack: never surfaces to the client.
         ++stats_.handoff_acks;
@@ -1654,13 +1699,10 @@ void SubtransportLayer::release_stream(StRms& rms) {
   if (streams_.erase(rms.id_) == 0) return;  // already released
   abort_rebind(rms.id_);  // a staged replacement dies with its stream
   if (observer_ != nullptr) observer_->on_stream_released(rms);
-  // In-flight ack timestamps and handoff entries die with the stream (they
-  // are per-stream and capped, so a closed stream frees its tracking
-  // immediately).
-  rms.ack_sent_at_.clear();
-  rms.ack_order_.clear();
-  rms.handoff_.clear();
-  rms.handoff_bytes_ = 0;
+  // Tracked send times and retained messages die with the stream.
+  rms.sends_.clear();
+  rms.retained_ = 0;
+  rms.retained_bytes_ = 0;
 
   trace("st.close", "stream " + std::to_string(rms.id_));
   auto pit = peers_.find(rms.peer_);

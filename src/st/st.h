@@ -41,6 +41,7 @@
 #include "util/buffer.h"
 #include "util/crypto.h"
 #include "util/hash.h"
+#include "util/seq_window.h"
 
 namespace dash::st {
 
@@ -173,7 +174,7 @@ class StRms final : public rms::Rms {
   const rms::Request& request() const { return request_; }
 
   /// Messages currently retained for failover replay (tests/telemetry).
-  std::size_t handoff_depth() const { return handoff_.size(); }
+  std::size_t handoff_depth() const { return retained_; }
 
   /// True between a rebind and the peer's re-establishment confirmation.
   bool rebinding() const { return rebinding_; }
@@ -214,42 +215,50 @@ class StRms final : public rms::Rms {
   std::function<void(const rms::Params&, const rms::Params&)> downgrade_cb_;
   struct PendingSend {
     rms::Message msg;
+    std::uint64_t seq;
     std::uint64_t ack_id;
     bool acked;
   };
   std::deque<PendingSend> pending_;  ///< sends queued until established
 
-  /// Handoff buffer (reliable streams under a StreamObserver): emitted
-  /// messages not yet fast-acknowledged, replayed with their original
-  /// sequence numbers after a failover. The receiver's preserved
-  /// next_expected_seq drops already-delivered replays as stale, so the
-  /// client sees no loss, duplication, or reordering across the switch.
-  struct HandoffEntry {
-    std::uint64_t seq;
+  /// One record per sequence number that still has a job. A send's time is
+  /// tracked while its fast ack's RTT is still to be measured (acked sends,
+  /// only while RTT metrics or a StreamObserver are attached). A reliable
+  /// stream under a StreamObserver also retains every emitted message until
+  /// it is fast-acknowledged (the handoff buffer): after a failover the
+  /// retained messages are replayed under their original sequence numbers,
+  /// and the receiver's preserved next_expected_seq drops already-delivered
+  /// replays as stale, so the client sees no loss, duplication or
+  /// reordering across the switch. A record with neither job is erased.
+  struct SendRecord {
     std::uint64_t ack_id;  ///< effective id (client's, or kHandoffAckBit|seq)
-    rms::Message msg;
+    std::optional<Time> tracked_at;
+    std::optional<rms::Message> retained;
   };
-  std::deque<HandoffEntry> handoff_;
-  std::size_t handoff_bytes_ = 0;
+  SeqWindow<SendRecord> sends_;
+  std::size_t retained_ = 0;
+  std::size_t retained_bytes_ = 0;
 
-  /// Submit times of in-flight acked sends awaiting their fast ack; only
-  /// maintained while RTT metrics are attached. Per stream and capped (a
-  /// peer that never acks must not grow it without bound): insertion order
-  /// is tracked in ack_order_ and the oldest entry is evicted past the cap.
-  /// Cleared when the stream closes.
-  static constexpr std::size_t kMaxTrackedAcks = 1024;
-  std::unordered_map<std::uint64_t, Time> ack_sent_at_;
-  std::deque<std::uint64_t> ack_order_;
-  void track_ack(std::uint64_t ack_id, Time now) {
-    ack_sent_at_.emplace(ack_id, now);
-    ack_order_.push_back(ack_id);
-    // Every map key is also in ack_order_, so bounding the deque bounds
-    // both containers even when the peer never acknowledges.
-    while (ack_order_.size() > kMaxTrackedAcks) {
-      ack_sent_at_.erase(ack_order_.front());
-      ack_order_.pop_front();
-    }
-  }
+  /// A send's time stays tracked for at most this many later sends on its
+  /// stream, so a peer that never acknowledges cannot pin the window.
+  static constexpr std::uint64_t kMaxTrackedAcks = 1024;
+
+  /// Takes the next sequence number and ages out the send tracked
+  /// kMaxTrackedAcks sends ago.
+  std::uint64_t next_send_seq();
+  /// The record at `seq`, created with `ack_id` if there is none.
+  SendRecord& record(std::uint64_t seq, std::uint64_t ack_id);
+  /// Tracks the send at `seq` unless `ack_id` is tracked already (then the
+  /// earlier send keeps the only time).
+  void track(std::uint64_t seq, std::uint64_t ack_id, Time now);
+  /// The oldest record with `ack_id` that is tracked (or, with
+  /// `retained`, that retains its message).
+  std::optional<std::uint64_t> find_send(std::uint64_t ack_id, bool retained);
+  /// Drops the retained messages of the records at or below `upto`, or
+  /// with `oldest_only` the first one there.
+  void drop_retained(std::uint64_t upto, bool oldest_only);
+  /// Erases the record at `seq` once it is neither tracked nor retained.
+  void retire(std::uint64_t seq);
 };
 
 class SubtransportLayer : public rms::Provider {
@@ -557,16 +566,12 @@ class SubtransportLayer : public rms::Provider {
     const Key* key = nullptr;
   };
   Status submit(StRms& rms, rms::Message msg, std::uint64_t ack_id, bool acked);
-  void emit(StRms& rms, rms::Message msg, std::uint64_t ack_id, bool acked);
-  /// emit() minus sequence allocation and handoff recording: puts one
-  /// component on the wire under an explicit sequence number (used both by
-  /// fresh sends and by handoff replay after a rebind).
+  void emit(StRms& rms, rms::Message msg, std::uint64_t seq, std::uint64_t ack_id,
+            bool acked);
+  /// emit() minus handoff recording: puts one component on the wire (used
+  /// both by fresh sends and by handoff replay after a rebind).
   void emit_component(StRms& rms, rms::Message msg, std::uint64_t ack_id,
                       bool acked, std::uint64_t seq);
-  /// Drops handoff entries up to and including the one acknowledged by
-  /// `ack_id` (cumulative: in-order delivery means everything earlier was
-  /// delivered too).
-  void trim_handoff(StRms& rms, std::uint64_t ack_id);
   void replay_handoff(StRms& rms);
   /// Serializes one component into `w`, encrypting the body in place and
   /// patching the MAC field (it precedes the body on the wire) afterwards.

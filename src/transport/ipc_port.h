@@ -24,12 +24,14 @@ class IpcPort {
   bool can_write(std::size_t n) const { return buffered_ + n <= limit_; }
 
   /// Queues data for the send protocol; kWouldBlock if the limit would be
-  /// exceeded (the sending process must wait for on_writable).
+  /// exceeded (the sending process must wait for on_writable). A refusal
+  /// carries no message text, so it allocates nothing: a writer pumping a
+  /// full port is turned away on every attempt.
   Status write(Buffer data) {
     if (!can_write(data.size())) {
       ++blocked_;
       writer_waiting_ = true;
-      return make_error(Errc::kWouldBlock, "IPC port queue limit reached");
+      return make_error(Errc::kWouldBlock, {});
     }
     buffered_ += data.size();
     queue_.push_back(std::move(data));

@@ -2,10 +2,13 @@
 //
 // Reliable senders and reorder buffers keep one record per outstanding
 // sequence number, and the live numbers sit in a short span. SeqWindow
-// stores that span as a deque of optional slots indexed by `seq − base`:
-// a lookup is an index, storage comes in deque blocks rather than a tree
-// node per entry, and erasing pops resolved slots off both ends, so the
-// window always spans exactly its oldest to its newest live entry.
+// stores that span in a ring of optional slots, a power of two long, and
+// finds `seq` in slot `seq & (capacity − 1)`: a lookup is a mask, moving
+// either end of the span moves no slot, and erasing pops resolved slots
+// off both ends, so the window always spans exactly its oldest to its
+// newest live entry. The ring allocates only when the span outgrows every
+// span before it (it then doubles and re-slots the live entries); clear()
+// and shrinking keep it, so a window at a steady span allocates nothing.
 //
 // It grows to whatever span it is given: a caller inserting a sequence
 // number read off the wire must bound it first, or a forged number could
@@ -13,9 +16,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <utility>
+#include <vector>
 
 namespace dash {
 
@@ -27,40 +30,42 @@ class SeqWindow {
 
   /// Oldest and newest live entries. Precondition: !empty().
   std::uint64_t front_seq() const { return base_; }
-  std::uint64_t back_seq() const { return base_ + slots_.size() - 1; }
-  T& front() { return *slots_.front(); }
-  T& back() { return *slots_.back(); }
+  std::uint64_t back_seq() const { return base_ + span_ - 1; }
+  T& front() { return *slot(base_); }
+  T& back() { return *slot(back_seq()); }
 
-  T* find(std::uint64_t seq) {
-    return contains(seq) ? &*slots_[seq - base_] : nullptr;
-  }
+  T* find(std::uint64_t seq) { return contains(seq) ? &*slot(seq) : nullptr; }
   bool contains(std::uint64_t seq) const {
-    return seq >= base_ && seq - base_ < slots_.size() && slots_[seq - base_];
+    return seq >= base_ && seq - base_ < span_ && slots_[seq & mask_].has_value();
   }
 
   /// Stores `value` under `seq`, widening the span on either side.
   /// Precondition: `seq` is not present.
   T& insert(std::uint64_t seq, T value) {
-    if (empty()) {
-      slots_.clear();
+    if (empty()) base_ = seq;  // an empty window spans nothing
+    if (seq < base_) {
+      reserve(span_ + (base_ - seq));
+      span_ += base_ - seq;
       base_ = seq;
+    } else if (seq - base_ >= span_) {
+      reserve(seq - base_ + 1);
+      span_ = seq - base_ + 1;
     }
-    for (; seq < base_; --base_) slots_.emplace_front();
-    while (seq - base_ >= slots_.size()) slots_.emplace_back();
     ++live_;
-    return slots_[seq - base_].emplace(std::move(value));
+    return slot(seq).emplace(std::move(value));
   }
 
   void erase(std::uint64_t seq) {
     if (!contains(seq)) return;
-    slots_[seq - base_].reset();
+    slot(seq).reset();
     --live_;
-    for (; !slots_.empty() && !slots_.front(); ++base_) slots_.pop_front();
-    while (!slots_.empty() && !slots_.back()) slots_.pop_back();
+    for (; span_ > 0 && !slot(base_); --span_) ++base_;
+    while (span_ > 0 && !slot(back_seq())) --span_;
   }
 
   void clear() {
-    slots_.clear();
+    for (std::uint64_t seq = base_; seq - base_ < span_; ++seq) slot(seq).reset();
+    span_ = 0;
     live_ = 0;
   }
 
@@ -75,8 +80,26 @@ class SeqWindow {
   }
 
  private:
-  std::deque<std::optional<T>> slots_;
-  std::uint64_t base_ = 0;  ///< sequence number of slots_.front()
+  std::optional<T>& slot(std::uint64_t seq) { return slots_[seq & mask_]; }
+
+  /// Makes room for a span of `span` slots. Slots outside the live span
+  /// are always empty, so only the live ones move.
+  void reserve(std::uint64_t span) {
+    if (span <= slots_.size()) return;
+    std::size_t capacity = slots_.empty() ? 8 : slots_.size();
+    while (capacity < span) capacity *= 2;
+    std::vector<std::optional<T>> grown(capacity);
+    for (std::uint64_t seq = base_; seq - base_ < span_; ++seq) {
+      if (std::optional<T>& s = slot(seq)) grown[seq & (capacity - 1)] = std::move(s);
+    }
+    slots_ = std::move(grown);
+    mask_ = capacity - 1;
+  }
+
+  std::vector<std::optional<T>> slots_;  ///< empty, or a power of two long
+  std::uint64_t mask_ = 0;
+  std::uint64_t base_ = 0;  ///< sequence number of the oldest slot in the span
+  std::uint64_t span_ = 0;
   std::size_t live_ = 0;
 };
 

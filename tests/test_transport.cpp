@@ -25,6 +25,20 @@ TEST(IpcPort, EnforcesQueueLimit) {
   EXPECT_EQ(port.blocked_count(), 1u);
 }
 
+TEST(IpcPort, RefusedWriteAllocatesNothing) {
+  REQUIRE_ALLOC_COUNT();
+  IpcPort port(100);
+  ASSERT_TRUE(port.write(patterned_bytes(100)).ok());
+  const Buffer more(patterned_bytes(10));
+  alloc_count::Scope scope;
+  for (int i = 0; i < 50; ++i) {
+    const Status refused = port.write(more);
+    EXPECT_EQ(refused.error().code, Errc::kWouldBlock);
+  }
+  EXPECT_EQ(scope.allocations(), 0u);
+  EXPECT_EQ(port.blocked_count(), 50u);
+}
+
 TEST(IpcPort, ReadFreesSpaceAndWakesWriter) {
   IpcPort port(100);
   int wakeups = 0;

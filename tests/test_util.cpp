@@ -14,6 +14,7 @@
 #include "util/serialize.h"
 #include "util/stats.h"
 #include "util/time.h"
+#include "test_helpers.h"
 
 namespace dash {
 namespace {
@@ -384,6 +385,72 @@ TEST(SeqWindow, WalkToleratesErasureAndStopsOnFalse) {
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2, 3}));
   EXPECT_EQ(*w.find(3), -1);
   EXPECT_EQ(*w.find(4), 4);
+}
+
+TEST(SeqWindow, WrapsAroundTheRingAndGrowsAtTheFrontAcrossTheWrap) {
+  SeqWindow<int> w;
+  // Slide a span of 4 far past the first ring's length: every slot is
+  // reused many times over.
+  for (std::uint64_t s = 0; s < 100; ++s) {
+    w.insert(s, static_cast<int>(s));
+    if (s >= 3) w.erase(s - 3);
+  }
+  EXPECT_EQ(w.size(), 3u);
+  EXPECT_EQ(w.front_seq(), 97u);
+  EXPECT_EQ(live_seqs(w), (std::vector<std::uint64_t>{97, 98, 99}));
+
+  // Grow backward below the head, past slot 0 of the ring, then widen the
+  // span beyond the ring so it re-slots every live entry.
+  for (std::uint64_t s = 96; s >= 80; --s) w.insert(s, static_cast<int>(s));
+  w.insert(130, 130);
+  EXPECT_EQ(w.front_seq(), 80u);
+  EXPECT_EQ(w.back_seq(), 130u);
+  EXPECT_EQ(w.size(), 21u);
+  for (std::uint64_t s = 80; s <= 99; ++s) {
+    ASSERT_NE(w.find(s), nullptr) << s;
+    EXPECT_EQ(*w.find(s), static_cast<int>(s));
+  }
+  EXPECT_FALSE(w.contains(100));
+  EXPECT_FALSE(w.contains(129));
+  EXPECT_EQ(*w.find(130), 130);
+}
+
+TEST(SeqWindow, ClearThenReuseStartsAfresh) {
+  SeqWindow<int> w;
+  for (std::uint64_t s = 5; s < 25; ++s) w.insert(s, 1);
+  w.clear();
+  EXPECT_TRUE(w.empty());
+  EXPECT_FALSE(w.contains(5));
+  EXPECT_FALSE(w.contains(24));
+  EXPECT_TRUE(live_seqs(w).empty());
+
+  // Old contents do not leak into a window restarted elsewhere, even where
+  // the new sequence numbers land on the old slots.
+  w.insert(1000, 7);
+  w.insert(1003, 8);
+  EXPECT_EQ(w.size(), 2u);
+  EXPECT_EQ(live_seqs(w), (std::vector<std::uint64_t>{1000, 1003}));
+  EXPECT_FALSE(w.contains(1001));
+  EXPECT_FALSE(w.contains(1002));
+  w.erase(1000);
+  EXPECT_EQ(w.front_seq(), 1003u);
+  EXPECT_EQ(w.front(), 8);
+}
+
+TEST(SeqWindow, SteadySpanAllocatesNothingAfterWarmUp) {
+  REQUIRE_ALLOC_COUNT();
+  SeqWindow<int> w;
+  constexpr std::uint64_t kSpan = 100;
+  for (std::uint64_t s = 0; s < kSpan; ++s) w.insert(s, 0);
+  alloc_count::Scope scope;
+  for (std::uint64_t s = kSpan; s < 100'000; ++s) {
+    w.erase(s - kSpan);
+    w.insert(s, static_cast<int>(s));
+  }
+  w.clear();
+  for (std::uint64_t s = 0; s < kSpan; ++s) w.insert(s + 7, 0);
+  EXPECT_EQ(scope.allocations(), 0u);
+  EXPECT_EQ(w.size(), kSpan);
 }
 
 // ---------------------------------------------------------------- stats
